@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from tblim.core_model import ModelParams, Parity
-from tblim.recon import DEFAULT_ZERO_TOL_REL
-from tblim.spectral import joint_spectrum, svd_E
+from tblim.recon import reconstruction_verdict
+from tblim.spectral import svd_E
 
 
 def main():
@@ -34,22 +34,16 @@ def main():
                 p = ModelParams(args.n, K, L, parity)
                 if p.time_rank == 0:
                     continue
-                modes = joint_spectrum(p)
-                q_max = modes[0].q if modes else 0.0
-                sig = np.sort(svd_E(p).sigmas)[::-1]
-                window = np.zeros(p.time_rank)
-                window[: min(sig.size, p.time_rank)] = sig[: p.time_rank]
+                window = np.sort(svd_E(p).sigmas)[::-1][: p.time_rank]
+                verdict, _kept = reconstruction_verdict(window, p.time_rank)
                 smin = window.min()
                 smax = window.max()
-                if smin <= DEFAULT_ZERO_TOL_REL * smax:
-                    verdict = "unrecoverable"
-                elif smax / smin > 1e8:
-                    verdict = "ill_conditioned"
-                else:
-                    verdict = "exact"
+                # the top concentration is sigma_max^2; the joint spectrum
+                # would raise on a full symmetric window (L = n)
+                q_max = smax**2
                 cond = smax / smin if smin > 0 else np.inf
                 print(f"{parity.value},{K},{L},{p.time_rank},{p.band_rank},"
-                      f"{q_max:.12g},{smin:.12g},{cond:.6g},{verdict}")
+                      f"{q_max:.12g},{smin:.12g},{cond:.6g},{verdict.value}")
     return 0
 
 

@@ -14,7 +14,6 @@ import logging
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,12 +115,8 @@ def _parse_sweep(expr, n):
 def cmd_spectrum(cfg):
     if cfg.sweep:
         var, values = _parse_sweep(cfg.sweep, cfg.n)
-        def one(v):
-            kw = {"n": cfg.n, "K": cfg.K, "L": cfg.L, "parity": cfg.parity}
-            kw[var] = v
-            return v, _spectrum_rows(ModelParams(**kw))
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(one, values))  # ordered by parameter tuple
+        base = {"n": cfg.n, "K": cfg.K, "L": cfg.L, "parity": cfg.parity}
+        results = [(v, _spectrum_rows(ModelParams(**{**base, var: v}))) for v in values]
         if cfg.fmt == "csv":
             rows = [(v, *row) for v, per in results for row in per]
             _write(cfg, csv_lines([var, "ell", "t", "q", "residual"], rows))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +68,12 @@ class ModelParams:
     parity: Parity
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        for name in ("n", "K", "L"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not (0 <= self.K <= self.n):
             raise DomainError(f"K must satisfy 0 <= K <= n, got K={self.K}, n={self.n}")
@@ -289,24 +295,35 @@ def momentum_basis(p):
     return rows
 
 
-def fourier_matrix(p):
-    """Unitary change of basis from position to momentum coordinates.
+def fourier_block(p, ks, js):
+    """Real block of the Fourier matrix: rows momentum labels ``ks``, columns
+    position labels ``js``.
 
     Entry (k, j) is the overlap of momentum vector k with position vector j:
     sqrt(2/n) * cos(pi*k*j/n) / (rho(k)*rho(j)) on the symmetric subspace and
-    sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one.  The matrix is real,
-    symmetric, and involutive.  Rows are tagged momentum, columns position;
-    the operator is returned in the position tag of its columns.
+    sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one.
     """
-    ks = np.array(p.indices, dtype=float)
-    js = ks[:, None].T
+    ks = np.array(ks, dtype=float)
+    js = np.array(js, dtype=float)
     if p.parity is Parity.PLUS:
-        weights = np.array([rho(p, int(k)) for k in ks])
+        rho_k = np.array([rho(p, int(k)) for k in ks])
+        rho_j = np.array([rho(p, int(j)) for j in js])
         f = np.sqrt(2.0 / p.n) * np.cos(np.pi * ks[:, None] * js / p.n)
-        f /= weights[:, None] * weights[None, :]
+        f /= rho_k[:, None] * rho_j[None, :]
     else:
         f = np.sqrt(2.0 / p.n) * np.sin(np.pi * ks[:, None] * js / p.n)
-    return DenseOperator(f, position_kind(p.parity), hermitian=True)
+    return f
+
+
+def fourier_matrix(p):
+    """Unitary change of basis from position to momentum coordinates.
+
+    Entries are those of ``fourier_block`` over all labels.  The matrix is
+    real, symmetric, and involutive.  Rows are tagged momentum, columns
+    position; the operator is returned in the position tag of its columns.
+    """
+    return DenseOperator(fourier_block(p, p.indices, p.indices), position_kind(p.parity),
+                         hermitian=True)
 
 
 def grid_values(sv, p):

@@ -37,6 +37,7 @@ __all__ = [
     "reconstruct",
     "conditioning_report",
     "reconstruct_signal",
+    "reconstruction_verdict",
 ]
 
 DEFAULT_ZERO_TOL_REL = 1e-10
@@ -109,22 +110,36 @@ def forward_observe(f, p):
     return ObservedData(m @ f.coeffs[window], p)
 
 
-def reconstruct(data, zero_tol=None):
-    """Truncated pseudo-inverse reconstruction from band observations.
+def reconstruction_verdict(sigmas, window_rank, zero_tol=None):
+    """Verdict and kept-mode count for descending singular values ``sigmas``
+    of the band x window block, whose window has rank ``window_rank``.
 
     Singular directions with sigma <= zero_tol (default: 1e-10 times the top
     sigma) are discarded.  The verdict is UNRECOVERABLE exactly when some
-    window mode falls below that threshold, ILL_CONDITIONED when everything
-    is kept but the spread of kept sigmas exceeds 1e8, and EXACT otherwise.
+    window mode falls below that threshold (a window wider than the band
+    always leaves some), ILL_CONDITIONED when everything is kept but the
+    spread of kept sigmas exceeds 1e8, and EXACT otherwise.
     """
+    s = np.asarray(sigmas, dtype=float)
+    sigma_max = float(s[0]) if s.size else 0.0
+    tol = zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
+    kept = int(np.sum(s > tol))
+    if kept < window_rank:
+        return Verdict.UNRECOVERABLE, kept
+    if kept and s[0] / s[kept - 1] > ILL_CONDITION_RATIO:
+        return Verdict.ILL_CONDITIONED, kept
+    return Verdict.EXACT, kept
+
+
+def reconstruct(data, zero_tol=None):
+    """Truncated pseudo-inverse reconstruction from band observations, with
+    the discarding rule and verdict of ``reconstruction_verdict``."""
     p = data.params
     window = _window_rows(p)
     m = _observation_matrix(p)
     wdim = len(window)
     u, s, vh = np.linalg.svd(m) if min(m.shape) else (np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1])))
-    sigma_max = float(s[0]) if s.size else 0.0
-    tol = zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
-    kept = int(np.sum(s > tol))
+    verdict, kept = reconstruction_verdict(s, wdim, zero_tol)
     padded = np.zeros(wdim)
     padded[: s.size] = s
     coeffs = np.zeros(p.dim, dtype=complex)
@@ -132,12 +147,6 @@ def reconstruct(data, zero_tol=None):
     for i in range(kept):
         window_coeffs += (np.vdot(u[:, i], data.values) / s[i]) * vh[i].conj()
     coeffs[window] = window_coeffs
-    if kept < wdim:
-        verdict = Verdict.UNRECOVERABLE
-    elif kept and padded[0] / padded[kept - 1] > ILL_CONDITION_RATIO:
-        verdict = Verdict.ILL_CONDITIONED
-    else:
-        verdict = Verdict.EXACT
     return ReconstructionReport(
         f_hat=SignalVector(coeffs, position_kind(p.parity)),
         singular_values=padded,

@@ -3,11 +3,15 @@ formatting.
 
 Floats are rendered with %.17g (round-trip exact for doubles) and keys are
 emitted in sorted order, so identical inputs produce byte-identical files.
+JSON has no infinity or NaN, so a non-finite float is written as null there;
+CSV keeps its text form.
 Complex numbers are [re, im] pairs; matrices are row-major with an explicit
 basis tag and dimension.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +34,10 @@ def format_float(x):
     return "%.17g" % x
 
 
+def _json_float(x):
+    return format_float(x) if math.isfinite(x) else "null"
+
+
 def _emit(obj):
     if obj is None:
         return "null"
@@ -40,9 +48,9 @@ def _emit(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
+        return _json_float(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return "[%s,%s]" % (format_float(obj.real), format_float(obj.imag))
+        return "[%s,%s]" % (_json_float(obj.real), _json_float(obj.imag))
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         return f'"{out}"'

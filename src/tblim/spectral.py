@@ -1,15 +1,17 @@
-"""Eigendecomposition backbone: a hand-rolled symmetric tridiagonal QL
-solver, a dense Hermitian solver used as the brute-force oracle, the singular
-value decomposition of the band-window product, and the joint spectrum of the
-Heun and time-band operators.
+"""Eigendecomposition backbone: the joint spectrum of the Heun and time-band
+operators, a hand-rolled symmetric tridiagonal QL solver, a dense Hermitian
+solver, and the singular value decomposition of the band-window product.
 
-The tridiagonal path is an implicit-shift QL iteration with accumulated
-rotations; the dense path wraps LAPACK so the two routes stay algorithmically
-independent and can cross-check each other.
+The joint spectrum diagonalizes the window block of the Heun operator with
+LAPACK and reads each concentration off the band x window Fourier block, so no
+n x n matrix is formed.  The implicit-shift QL iteration and the dense solver
+are kept as independent oracles that the tests and the verification suite
+compare the production route against.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +22,13 @@ from .core_model import (
     Parity,
     SignalVector,
     TridiagonalOperator,
+    fourier_block,
     fourier_matrix,
     momentum_kind,
     position_kind,
 )
 from .errors import ConvergenceError, DegeneracyError, DomainError
-from .operators import heun_tb, projector_time, tb_operator
+from .operators import heun_tb
 
 __all__ = [
     "Spectrum",
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 _QL_MAX_SWEEPS = 50  # per eigenvalue; total is bounded by 50 * dim
+
+log = logging.getLogger("tblim")
 
 
 @dataclass
@@ -178,14 +183,21 @@ def eig_sym_tridiag(t):
     residuals = np.array(
         [float(np.linalg.norm(t.apply(vectors[:, i]) - values[i] * vectors[:, i])) for i in range(n)]
     )
-    if n > 1 and np.all(np.abs(t.offdiag) > 0.0):
+    _check_simple(t, values)
+    return Spectrum(values, vectors, residuals, t.basis)
+
+
+def _check_simple(t, values):
+    """Raise when an unreduced tridiagonal operator (every off-diagonal
+    nonzero, so mathematically simple spectrum) has numerically coincident
+    ascending eigenvalues ``values``."""
+    if t.dim > 1 and np.all(np.abs(t.offdiag) > 0.0):
         scale = max(np.max(np.abs(values)), 1.0)
         gap = np.min(np.diff(values))
         if gap <= 1e-12 * scale:
             raise DegeneracyError(
                 f"unreduced tridiagonal block produced eigenvalue gap {gap:.3e}"
             )
-    return Spectrum(values, vectors, residuals, t.basis)
 
 
 def eig_sym_dense(m):
@@ -233,33 +245,44 @@ def joint_spectrum(p):
     """Simultaneous eigenpairs (t, q) on the window subspace.
 
     The Heun operator decouples exactly at the window edge; its leading block
-    is diagonalized by the tridiagonal solver, eigenvectors are zero-padded,
-    and the time-band eigenvalue is read off as a Rayleigh quotient (exact
-    because the block spectrum is simple).  A residual check guards that
-    assumption.  Modes come back sorted by descending q, ties broken by
-    ascending t.
+    is made dense and diagonalized by LAPACK, and eigenvectors are
+    zero-padded.  The time-band operator vanishes outside the window, where
+    it equals E^T E for the band x window Fourier block E, so each mode's
+    concentration is q = ||E v||^2 (exact because the block spectrum is
+    simple).  The residual ||E^T E v - q v|| guards that assumption.  Modes
+    come back sorted by descending q, ties broken by ascending t.
     """
-    t_op = heun_tb(p)
     dim = top_block_dim(p)
     if dim == 0:
         return []
-    spec = eig_sym_tridiag(t_op.block(dim))
-    q_op = tb_operator(p).entries
+    block = heun_tb(p).block(dim)
+    dense = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+    values, vectors = np.linalg.eigh(dense)
+    _check_simple(block, values)
+    labels = p.indices
+    e = fourier_block(p, labels[: p.band_rank], labels[:dim])  # band x window
+    ev = e @ vectors
+    qs = np.sum(ev * ev, axis=0)
+    residuals = np.linalg.norm(e.T @ ev - qs * vectors, axis=0)
+    worst = float(np.max(residuals))
+    if log.isEnabledFor(logging.DEBUG):
+        gap = float(np.min(np.diff(values))) if dim > 1 else float("inf")
+        log.debug("joint_spectrum n=%d K=%d L=%d %s: window rank %d, "
+                  "min eigenvalue gap %.3e, max joint residual %.3e",
+                  p.n, p.K, p.L, p.parity.value, dim, gap, worst)
+    if worst > 1e-10:
+        raise DegeneracyError(
+            f"joint eigenvector residual {worst:.3e} exceeds 1e-10; "
+            "the Heun block spectrum is not resolving the time-band operator"
+        )
     modes = []
-    for i in range(len(spec)):
+    for i in range(dim):
         v = np.zeros(p.dim, dtype=complex)
-        v[:dim] = spec.vectors[:, i]
-        q = float(np.real(np.vdot(v, q_op @ v)))
-        residual = float(np.linalg.norm(q_op @ v - q * v))
-        if residual > 1e-10:
-            raise DegeneracyError(
-                f"joint eigenvector residual {residual:.3e} exceeds 1e-10; "
-                "the Heun block spectrum is not resolving the time-band operator"
-            )
+        v[:dim] = vectors[:, i]
         modes.append(
-            JointMode(t=float(spec.values[i]), q=q,
+            JointMode(t=float(values[i]), q=float(qs[i]),
                       vector=SignalVector(v, position_kind(p.parity)),
-                      residual=residual)
+                      residual=float(residuals[i]))
         )
     modes.sort(key=lambda m: (-m.q, m.t))
     return modes

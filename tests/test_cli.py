@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tblim
 from tblim.cli import main
 
 
@@ -74,6 +78,17 @@ class TestSpectrum:
         doc = json.loads(out)
         assert [r["value"] for r in doc["results"]] == [0, 1, 2, 3, 4]
 
+    def test_sweep_matches_single_runs(self, capsys):
+        argv = ["spectrum", "--n", "7", "--K", "2", "--L", "4", "--parity", "plus"]
+        code, out, _ = run(capsys, *argv, "--sweep", "K=0..n")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [r["value"] for r in results] == list(range(8))
+        for r in results:
+            single = argv[:4] + [str(r["value"])] + argv[5:]
+            _, one, _ = run(capsys, *single)
+            assert r["modes"] == json.loads(one)["modes"]
+
     def test_invalid_params_exit_two(self, capsys):
         code, _, err = run(capsys, "spectrum", "--n", "4", "--K", "9", "--L", "2",
                            "--parity", "plus")
@@ -104,6 +119,21 @@ class TestVerify:
                            "--parity", "minus", "--operators", str(bad))
         assert code == 1
         assert "FAIL" in out
+
+    def test_unloadable_stored_matrix_gives_valid_json(self, capsys, tmp_path):
+        ops = tmp_path / "ops.json"
+        main(["build", "--n", "8", "--K", "2", "--L", "3", "--parity", "plus", "--out", str(ops)])
+        doc = json.loads(ops.read_text())
+        doc["operators"]["Q"]["rows"][0][1][0] += 1e-7  # breaks hermiticity
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "v.json"
+        code, _, _ = run(capsys, "verify", "--n", "8", "--K", "2", "--L", "3", "--parity", "plus",
+                         "--operators", str(bad), "--out", str(report))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert checks["stored_Q"]["residual"] is None
+        assert not checks["stored_Q"]["passed"]
 
     def test_unreadable_operator_file(self, capsys, tmp_path):
         bad = tmp_path / "nope.json"
@@ -197,3 +227,22 @@ class TestReconstruct:
         code, _, _ = run(capsys, "reconstruct", "--n", "8", "--K", "6", "--L", "2",
                          "--signal", str(sig))
         assert code == 2
+
+
+class TestLogging:
+    def _spectrum(self, level):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        if level:
+            env["TBLIM_LOG"] = level
+        return subprocess.run(
+            [sys.executable, "-m", "tblim.cli", "spectrum", "--n", "8", "--K", "3", "--L", "4",
+             "--parity", "plus"], env=env, capture_output=True, text=True, check=True)
+
+    def test_debug_logs_to_stderr_only(self):
+        quiet = self._spectrum(None)
+        loud = self._spectrum("debug")
+        assert quiet.stderr == ""
+        assert loud.stdout == quiet.stdout
+        assert "tblim DEBUG: joint_spectrum n=8 K=3 L=4 plus: window rank 5, " \
+            "min eigenvalue gap 6.348e-01, max joint residual" in loud.stderr

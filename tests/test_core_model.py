@@ -46,6 +46,16 @@ class TestModelParams:
         with pytest.raises(DomainError):
             make(0, 0, 0, Parity.PLUS)
 
+    def test_accepts_numpy_integers_as_plain_int(self):
+        p = make(np.int64(8), np.int32(2), np.uint8(3), Parity.PLUS)
+        assert p == make(8, 2, 3, Parity.PLUS)
+        assert all(type(v) is int for v in (p.n, p.K, p.L))
+
+    @pytest.mark.parametrize("n,K,L", [(8, 2.5, 3), (8, 2, 3.0), (8.0, 2, 3), (8, True, 3)])
+    def test_rejects_non_integral_limits(self, n, K, L):
+        with pytest.raises(DomainError):
+            make(n, K, L, Parity.PLUS)
+
     def test_ranks(self):
         p = make(4, 1, 2, Parity.MINUS)
         assert p.time_rank == 2  # positions 1, 2

@@ -9,6 +9,7 @@ from tblim.recon import (
     forward_observe,
     reconstruct,
     reconstruct_signal,
+    reconstruction_verdict,
 )
 from tblim.spectral import svd_E
 
@@ -84,6 +85,23 @@ class TestReconstruct:
         rep = reconstruct(forward_observe(window_signal(p, rng), p))
         assert rep.singular_values.size == p.time_rank
         assert rep.kept_modes + rep.discarded_modes == p.time_rank
+
+
+class TestVerdictRule:
+    def test_rule(self):
+        assert reconstruction_verdict([1.0, 0.5], 2) == (Verdict.EXACT, 2)
+        assert reconstruction_verdict([1.0, 1e-9], 2) == (Verdict.ILL_CONDITIONED, 2)
+        assert reconstruction_verdict([1.0, 1e-11], 2) == (Verdict.UNRECOVERABLE, 1)
+        assert reconstruction_verdict([1.0], 2) == (Verdict.UNRECOVERABLE, 1)  # band narrower
+        assert reconstruction_verdict([1.0, 1e-9], 2, zero_tol=1e-8) == (Verdict.UNRECOVERABLE, 1)
+
+    def test_agrees_with_reconstruct(self):
+        rng = np.random.default_rng(5)
+        for K, L in [(8, 3), (1, 6), (3, 3), (2, 5)]:
+            p = make(8, K, L, Parity.MINUS)
+            rep = reconstruct(forward_observe(window_signal(p, rng), p))
+            assert reconstruction_verdict(rep.singular_values, p.time_rank) == \
+                (rep.verdict, rep.kept_modes)
 
 
 class TestConditioning:

@@ -22,6 +22,14 @@ class TestCanonicalJson:
         doc = {"x": [1.25, {"y": True, "z": None}], "s": 'quo"te'}
         assert json.loads(canonical_json(doc)) == {"x": [1.25, {"y": True, "z": None}], "s": 'quo"te'}
 
+    def test_non_finite_floats_are_null(self):
+        doc = {"a": float("inf"), "b": np.float64("-inf"), "c": float("nan"),
+               "z": complex(float("inf"), 1.0)}
+        assert json.loads(canonical_json(doc)) == {"a": None, "b": None, "c": None, "z": [None, 1.0]}
+
+    def test_csv_keeps_non_finite_text(self):
+        assert csv_lines(["x"], [(float("inf"),)]) == "x\ninf\n"
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         arr = rng.normal(size=(3, 3))

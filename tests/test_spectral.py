@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from tblim.core_model import BasisKind, DenseOperator, ModelParams, Parity, TridiagonalOperator
-from tblim.errors import DomainError
+from tblim.core_model import (
+    BasisKind,
+    DenseOperator,
+    ModelParams,
+    Parity,
+    TridiagonalOperator,
+    position_kind,
+)
+from tblim.errors import DegeneracyError, DomainError
 from tblim.operators import heun_tb, projector_time, tb_operator
 from tblim.spectral import (
     eig_sym_dense,
@@ -135,3 +142,36 @@ class TestJointSpectrum:
     def test_mode_count(self):
         assert len(joint_spectrum(make(6, 2, 3, Parity.PLUS))) == 4
         assert len(joint_spectrum(make(6, 2, 3, Parity.MINUS))) == 3
+
+
+class TestJointSpectrumOracles:
+    """The LAPACK window-block route against the QL oracle (t) and the dense
+    time-band operator (q), over every (K, L) of small n: the edges L = 0,
+    L = n and K = 0, the pole cases n | 2L and near-full windows included."""
+
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_ql_and_dense_oracles(self, n, parity):
+        for L in range(n + 1):
+            for K in range(n + 1):
+                p = make(n, K, L, parity)
+                dim = top_block_dim(p)
+                try:
+                    modes = joint_spectrum(p)
+                except DegeneracyError:
+                    # a full symmetric window: the Heun block is not simple
+                    assert parity is Parity.PLUS and L == n
+                    continue
+                assert len(modes) == dim
+                if dim == 0:
+                    continue
+                t_ql = eig_sym_tridiag(heun_tb(p).block(dim)).values
+                assert mx(np.sort([m.t for m in modes]) - t_ql) < 1e-11
+                q_full = tb_operator(p).entries
+                window = DenseOperator(q_full[:dim, :dim], position_kind(parity), hermitian=True)
+                q_dense = eig_sym_dense(window).values
+                assert mx(np.sort([m.q for m in modes]) - q_dense) < 1e-10
+                for m in modes:  # each q belongs to its own t's vector
+                    v = m.vector.coeffs
+                    assert abs(np.vdot(v, q_full @ v).real - m.q) < 1e-10
+                    assert np.linalg.norm(q_full @ v - m.q * v) < 1e-10
