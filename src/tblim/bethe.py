@@ -30,7 +30,6 @@ import numpy as np
 
 from .core_model import (
     DenseOperator,
-    ModelParams,
     Parity,
     SignalVector,
     position_kind,
@@ -38,8 +37,8 @@ from .core_model import (
     trig_s,
 )
 from .errors import DomainError, PoleError
-from .operators import leonard_pair, projector_time
-from .spectral import joint_spectrum, top_block_dim
+from .operators import leonard_pair
+from .spectral import joint_spectrum
 
 __all__ = [
     "AnsatzVariant",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -313,6 +313,16 @@ def fourier_block(p, ks, js):
     else:
         f = np.sqrt(2.0 / p.n) * np.sin(np.pi * ks[:, None] * js / p.n)
     return f
+
+
+def band_window_block(p):
+    """Band x window block E of the Fourier matrix (band rank x window rank).
+
+    Labels ascend, so the band rows and the window columns are prefixes of
+    the subspace labels.  On the window the time-band operator is E^T E.
+    """
+    labels = p.indices
+    return fourier_block(p, labels[: p.band_rank], labels[: p.time_rank])
 
 
 def fourier_matrix(p):

@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core_model import (
-    BasisKind,
     DenseOperator,
-    ModelParams,
     Parity,
     SignalVector,
     TridiagonalOperator,

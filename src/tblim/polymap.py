@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DenseOperator, ModelParams, Parity
+from .core_model import DenseOperator, Parity
 from .errors import DegeneracyError, DomainError
 from .operators import heun_coefficients, tb_operator
 

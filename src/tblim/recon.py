@@ -3,7 +3,9 @@ of a window-supported signal and invert by a truncated singular value
 expansion.
 
 Each parity branch is an ordinary finite-dimensional least-squares problem
-(band rank observations against window rank unknowns); the verdict reports
+(band rank observations against window rank unknowns) posed on the band x
+window Fourier block E; observation, reconstruction and the conditioning
+report all work from E and its one SVD (``svd_E``).  The verdict reports
 whether the window subspace is fully resolved, numerically fragile, or
 genuinely unrecoverable.
 """
@@ -11,7 +13,6 @@ genuinely unrecoverable.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +21,13 @@ from .core_model import (
     ModelParams,
     Parity,
     SignalVector,
+    band_window_block,
     coefficients_of,
-    fourier_matrix,
     grid_values,
     position_kind,
 )
 from .errors import DomainError, SupportError
-from .spectral import eig_sym_dense, svd_E
-from .operators import tb_operator
+from .spectral import svd_E
 
 __all__ = [
     "Verdict",
@@ -75,21 +75,6 @@ class ReconstructionReport:
     worst_kept_sigma: float
 
 
-def _window_rows(p):
-    return [r for r, j in enumerate(p.indices) if j <= p.L]
-
-
-def _band_rows(p):
-    return [r for r, k in enumerate(p.indices) if k <= p.K]
-
-
-def _observation_matrix(p):
-    """Band coefficients of each window basis vector (band rank x window
-    rank)."""
-    f = fourier_matrix(p).entries
-    return f[np.ix_(_band_rows(p), _window_rows(p))]
-
-
 def forward_observe(f, p):
     """Project a window-supported position-basis signal onto the band.
 
@@ -100,14 +85,10 @@ def forward_observe(f, p):
         raise DomainError("expected a position-basis signal of matching parity")
     if f.coeffs.size != p.dim:
         raise DomainError(f"expected {p.dim} coefficients, got {f.coeffs.size}")
-    window = _window_rows(p)
-    mask = np.ones(p.dim, dtype=bool)
-    mask[window] = False
-    leak = float(np.linalg.norm(f.coeffs[mask]))
+    leak = float(np.linalg.norm(f.coeffs[p.time_rank:]))
     if leak > 1e-10 * max(1.0, f.norm()):
         raise SupportError(f"signal leaks outside the time window (norm {leak:.3e})")
-    m = _observation_matrix(p)
-    return ObservedData(m @ f.coeffs[window], p)
+    return ObservedData(band_window_block(p) @ f.coeffs[: p.time_rank], p)
 
 
 def reconstruction_verdict(sigmas, window_rank, zero_tol=None):
@@ -115,14 +96,15 @@ def reconstruction_verdict(sigmas, window_rank, zero_tol=None):
     of the band x window block, whose window has rank ``window_rank``.
 
     Singular directions with sigma <= zero_tol (default: 1e-10 times the top
-    sigma) are discarded.  The verdict is UNRECOVERABLE exactly when some
-    window mode falls below that threshold (a window wider than the band
-    always leaves some), ILL_CONDITIONED when everything is kept but the
-    spread of kept sigmas exceeds 1e8, and EXACT otherwise.
+    sigma) are discarded, and a zero sigma always is, whatever zero_tol.  The
+    verdict is UNRECOVERABLE exactly when some window mode falls below that
+    threshold (a window wider than the band always leaves some),
+    ILL_CONDITIONED when everything is kept but the spread of kept sigmas
+    exceeds 1e8, and EXACT otherwise.
     """
     s = np.asarray(sigmas, dtype=float)
     sigma_max = float(s[0]) if s.size else 0.0
-    tol = zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
+    tol = max(zero_tol, 0.0) if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
     kept = int(np.sum(s > tol))
     if kept < window_rank:
         return Verdict.UNRECOVERABLE, kept
@@ -135,47 +117,34 @@ def reconstruct(data, zero_tol=None):
     """Truncated pseudo-inverse reconstruction from band observations, with
     the discarding rule and verdict of ``reconstruction_verdict``."""
     p = data.params
-    window = _window_rows(p)
-    m = _observation_matrix(p)
-    wdim = len(window)
-    u, s, vh = np.linalg.svd(m) if min(m.shape) else (np.zeros((m.shape[0], 0)), np.zeros(0), np.zeros((0, m.shape[1])))
-    verdict, kept = reconstruction_verdict(s, wdim, zero_tol)
-    padded = np.zeros(wdim)
-    padded[: s.size] = s
+    trips = svd_E(p)
+    s = trips.sigmas[: p.time_rank]
+    verdict, kept = reconstruction_verdict(s, p.time_rank, zero_tol)
+    u, v = trips.lefts[:, :kept], trips.rights[:, :kept]
     coeffs = np.zeros(p.dim, dtype=complex)
-    window_coeffs = np.zeros(wdim, dtype=complex)
-    for i in range(kept):
-        window_coeffs += (np.vdot(u[:, i], data.values) / s[i]) * vh[i].conj()
-    coeffs[window] = window_coeffs
+    coeffs[: p.time_rank] = v @ ((u.T @ data.values) / s[:kept])
     return ReconstructionReport(
         f_hat=SignalVector(coeffs, position_kind(p.parity)),
-        singular_values=padded,
+        singular_values=s,
         kept_modes=kept,
-        discarded_modes=wdim - kept,
+        discarded_modes=p.time_rank - kept,
         verdict=verdict,
         worst_kept_sigma=float(s[kept - 1]) if kept else 0.0,
     )
 
 
 def conditioning_report(p, zero_tol=None):
-    """Window-restricted spectrum of the time-band operator and the count of
-    eigenvalues indicating unrecoverable directions (sqrt below zero_tol).
+    """Window-restricted spectrum of the time-band operator, ascending, and
+    the count of unrecoverable window directions.
 
-    Eigenvalues of the squared operator carry O(eps) absolute noise, so the
-    count clamps the threshold at the sqrt(eps)-scale noise floor; below that
-    the singular value route (reconstruct) is the resolving one.
+    Both come from the SVD of the band x window block: the eigenvalues are
+    the squared singular values, and the count is the number of window modes
+    ``reconstruction_verdict`` discards, i.e. ``reconstruct``'s
+    ``discarded_modes``.
     """
-    window = _window_rows(p)
-    q = tb_operator(p).entries[np.ix_(window, window)]
-    eigs = np.sort(np.linalg.eigvalsh(q)) if len(window) else np.zeros(0)
-    trips = svd_E(p)
-    sigma_max = float(trips.sigmas[0]) if len(trips) else 0.0
-    tol = zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
-    lam_max = float(eigs[-1]) if eigs.size else 0.0
-    floor = math.sqrt(len(window) * np.finfo(float).eps * max(lam_max, 0.0)) if eigs.size else 0.0
-    eff = max(tol, floor)
-    near_zero = int(np.sum(np.sqrt(np.clip(eigs, 0.0, None)) <= eff))
-    return eigs, near_zero
+    s = svd_E(p).sigmas[: p.time_rank]
+    _verdict, kept = reconstruction_verdict(s, p.time_rank, zero_tol)
+    return s[::-1] ** 2, p.time_rank - kept
 
 
 def _reflect(values):

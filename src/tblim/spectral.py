@@ -1,12 +1,14 @@
 """Eigendecomposition backbone: the joint spectrum of the Heun and time-band
 operators, a hand-rolled symmetric tridiagonal QL solver, a dense Hermitian
-solver, and the singular value decomposition of the band-window product.
+solver, and the singular value decomposition of the band x window block of
+the Fourier matrix.
 
 The joint spectrum diagonalizes the window block of the Heun operator with
-LAPACK and reads each concentration off the band x window Fourier block, so no
-n x n matrix is formed.  The implicit-shift QL iteration and the dense solver
-are kept as independent oracles that the tests and the verification suite
-compare the production route against.
+LAPACK and reads each concentration off the band x window Fourier block; the
+SVD factors that same block, so no n x n matrix is formed on either route.
+The implicit-shift QL iteration and the dense solver are kept as independent
+oracles that the tests and the verification suite compare the production
+route against.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ import numpy as np
 
 from .core_model import (
     DenseOperator,
-    ModelParams,
-    Parity,
     SignalVector,
     TridiagonalOperator,
-    fourier_block,
-    fourier_matrix,
-    momentum_kind,
+    band_window_block,
     position_kind,
 )
 from .errors import ConvergenceError, DegeneracyError, DomainError
@@ -69,13 +67,17 @@ class Spectrum:
 
 @dataclass
 class SingularTriplets:
-    """Singular triplets (sigma, left, right), descending sigma."""
+    """Singular triplets (sigma, left, right), descending sigma.
+
+    ``lefts[:, i]`` is in band coordinates (the first band rank momentum
+    labels) and ``rights[:, i]`` in window coordinates (the first window rank
+    position labels); ``sigmas`` is zero-padded to the subspace dimension, so
+    only its first min(band rank, window rank) entries have vectors.
+    """
 
     sigmas: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
-    left_basis: object
-    right_basis: object
 
     def __len__(self):
         return self.sigmas.size
@@ -216,24 +218,17 @@ def eig_sym_dense(m):
 
 
 def svd_E(p):
-    """Singular value decomposition of the band-window product E.
+    """Thin singular value decomposition of the band x window block E.
 
-    E maps position coordinates to momentum coordinates (band projector after
-    window projector); the squared singular values coincide with the spectrum
-    of the time-band operator.
+    E maps window coordinates to band coordinates; the squared singular
+    values, zero-padded to the subspace dimension, are the spectrum of the
+    time-band operator.  An empty band or window gives no triplets and all
+    sigmas zero.
     """
-    f = fourier_matrix(p).entries
-    band = np.array([1.0 if k <= p.K else 0.0 for k in p.indices])
-    window = np.array([1.0 if j <= p.L else 0.0 for j in p.indices])
-    e = band[:, None] * f * window[None, :]
-    u, s, vh = np.linalg.svd(e)
-    return SingularTriplets(
-        sigmas=s,
-        lefts=u,
-        rights=vh.conj().T,
-        left_basis=momentum_kind(p.parity),
-        right_basis=position_kind(p.parity),
-    )
+    u, s, vh = np.linalg.svd(band_window_block(p), full_matrices=False)
+    sigmas = np.zeros(p.dim)
+    sigmas[: s.size] = s
+    return SingularTriplets(sigmas=sigmas, lefts=u, rights=vh.T)
 
 
 def top_block_dim(p):
@@ -259,8 +254,7 @@ def joint_spectrum(p):
     dense = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
     values, vectors = np.linalg.eigh(dense)
     _check_simple(block, values)
-    labels = p.indices
-    e = fourier_block(p, labels[: p.band_rank], labels[:dim])  # band x window
+    e = band_window_block(p)
     ev = e @ vectors
     qs = np.sum(ev * ev, axis=0)
     residuals = np.linalg.norm(e.T @ ev - qs * vectors, axis=0)

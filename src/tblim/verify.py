@@ -18,7 +18,7 @@ from .bethe import (
     check_T_decomposition,
     check_vacuum_action,
 )
-from .core_model import ModelParams, Parity, fourier_matrix, momentum_basis, position_basis
+from .core_model import Parity, fourier_matrix, momentum_basis, position_basis
 from .errors import PoleError
 from .operators import (
     check_askey_wilson,
@@ -32,7 +32,7 @@ from .operators import (
     tb_operator,
     to_momentum_basis,
 )
-from .polymap import assemble_P, eval_P_stable, verify_Q_equals_piP
+from .polymap import eval_P_stable, verify_Q_equals_piP
 from .spectral import eig_sym_dense, eig_sym_tridiag, joint_spectrum, svd_E, top_block_dim
 from .core_model import trig_c, trig_s
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,7 @@ class TestVerdictRule:
         assert reconstruction_verdict([1.0, 1e-11], 2) == (Verdict.UNRECOVERABLE, 1)
         assert reconstruction_verdict([1.0], 2) == (Verdict.UNRECOVERABLE, 1)  # band narrower
         assert reconstruction_verdict([1.0, 1e-9], 2, zero_tol=1e-8) == (Verdict.UNRECOVERABLE, 1)
+        assert reconstruction_verdict([1.0, 0.0], 2, zero_tol=-1.0) == (Verdict.UNRECOVERABLE, 1)
 
     def test_agrees_with_reconstruct(self):
         rng = np.random.default_rng(5)
@@ -115,12 +118,20 @@ class TestConditioning:
         assert eigs.min() > -1e-12 and eigs.max() < 1 + 1e-12
 
     def test_near_zero_count_matches_svd_rank(self):
-        p = make(8, 2, 5, Parity.PLUS)
-        _, near_zero = conditioning_report(p)
-        sig = svd_E(p).sigmas
-        tol = 1e-10 * sig[0]
-        rank = int(np.sum(sig > tol))
-        assert near_zero == p.time_rank - rank
+        # (17, 8, 8, plus) has sigma_min/sigma_max = 3.9e-8: every mode is kept
+        cases = [(8, 2, 5), (17, 8, 8), (18, 9, 9), (19, 9, 9), (19, 10, 10),
+                 (12, 3, 9), (12, 12, 12), (12, 0, 5), (12, 5, 0)]
+        rng = np.random.default_rng(6)
+        for n, K, L in cases:
+            for parity in (Parity.PLUS, Parity.MINUS):
+                p = make(n, K, L, parity)
+                _, near_zero = conditioning_report(p)
+                sig = svd_E(p).sigmas
+                tol = 1e-10 * sig[0]
+                rank = int(np.sum(sig > tol))
+                assert near_zero == p.time_rank - rank
+                rep = reconstruct(forward_observe(window_signal(p, rng), p))
+                assert near_zero == rep.discarded_modes
 
     def test_sigma_min_monotone_in_band(self):
         # report-level property: enlarging the band never hurts the worst mode
@@ -155,3 +166,30 @@ class TestFullSignalWrapper:
         f = np.ones(2 * n, dtype=complex)
         with pytest.raises(SupportError):
             reconstruct_signal(f, n, 3, 2)
+
+
+class TestBlockRoute:
+    def test_no_n_by_n_builder_on_recon_path(self, monkeypatch):
+        import tblim.cli  # noqa: F401  (loads every tblim module)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n x n builder ran on the band x window route")
+
+        for name, module in list(sys.modules.items()):
+            if name == "tblim" or name.startswith("tblim."):
+                for attr in ("fourier_matrix", "tb_operator", "projector_band"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        n, K, L = 64, 40, 12
+        rng = np.random.default_rng(8)
+        f = np.zeros(2 * n, dtype=complex)
+        for x in list(range(0, L + 1)) + list(range(2 * n - L, 2 * n)):
+            f[x] = rng.normal() + 1j * rng.normal()
+        rep_plus, rep_minus, f_hat = reconstruct_signal(f, n, K, L)
+        assert rep_plus.verdict is Verdict.EXACT and rep_minus.verdict is Verdict.EXACT
+        assert np.max(np.abs(f_hat - f)) < 1e-8
+        for parity in (Parity.PLUS, Parity.MINUS):
+            p = make(n, K, L, parity)
+            eigs, near_zero = conditioning_report(p)
+            assert eigs.size == p.time_rank and near_zero == 0
+            assert svd_E(p).sigmas.size == p.dim

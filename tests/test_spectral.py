@@ -7,6 +7,7 @@ from tblim.core_model import (
     ModelParams,
     Parity,
     TridiagonalOperator,
+    fourier_matrix,
     position_kind,
 )
 from tblim.errors import DegeneracyError, DomainError
@@ -98,13 +99,29 @@ class TestSvd:
 
     @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
     def test_squares_match_tb_spectrum(self, parity):
-        n = 8
-        for K in range(1, n):
-            for L in range(1, n):
-                p = make(n, K, L, parity)
-                s = np.sort(svd_E(p).sigmas ** 2)
-                q = np.sort(np.clip(eig_sym_dense(tb_operator(p)).values, 0, None))
-                assert mx(s - q) < 1e-10
+        cases = [(8, K, L) for K in range(9) for L in range(9)]
+        if parity is Parity.MINUS:
+            cases.append((2, 1, 1))
+        for n, K, L in cases:
+            p = make(n, K, L, parity)
+            s = np.sort(svd_E(p).sigmas ** 2)
+            q = np.sort(np.clip(eig_sym_dense(tb_operator(p)).values, 0, None))
+            assert mx(s - q) < 1e-10
+
+    @pytest.mark.parametrize("n,K,L,parity", [
+        (8, 3, 5, Parity.PLUS), (8, 6, 2, Parity.MINUS), (8, 0, 4, Parity.PLUS),
+        (8, 4, 0, Parity.MINUS), (2, 1, 1, Parity.MINUS),
+    ])
+    def test_triplets_in_block_coordinates(self, n, K, L, parity):
+        p = make(n, K, L, parity)
+        trips = svd_E(p)
+        e = fourier_matrix(p).entries[: p.band_rank, : p.time_rank].real
+        r = min(p.band_rank, p.time_rank)
+        assert trips.sigmas.size == p.dim
+        assert trips.lefts.shape == (p.band_rank, r)
+        assert trips.rights.shape == (p.time_rank, r)
+        assert np.all(trips.sigmas[r:] == 0.0)
+        assert mx(e @ trips.rights - trips.lefts * trips.sigmas[:r]) < 1e-12
 
 
 class TestJointSpectrum:
