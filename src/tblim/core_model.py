@@ -9,6 +9,11 @@ every computation in this package happens inside one of those two subspaces.
 All trigonometric arguments are kept in *grid units*: ``trig_s(p, x)`` is
 sin(pi*x/(2n)), so the formulas of the model can be transcribed verbatim.
 Both kernels are 4n-periodic in grid units and accept complex arguments.
+
+The builders of the model's numbers (``rho``, ``grid_cos``, ``fourier_block``)
+take an optional numeric context: ``None`` computes in double precision with
+numpy, an mpmath context (``mpmath.mp``) in its current precision, so the
+high-precision checks reuse the very formulas of the double-precision ones.
 """
 
 from __future__ import annotations
@@ -122,10 +127,36 @@ def trig_c(p, x):
     return np.cos(np.pi * np.asarray(x) / (2 * p.n))[()]
 
 
-def rho(p, j):
-    """Boundary weight: sqrt(2) at j in {0, n}, 1 inside, 0 at j in {-1, n+1}."""
+def grid_cos(p, ctx=None):
+    """The function x -> cos(pi*x/(2n)) for integer grid-unit x.
+
+    With ``ctx=None`` it is ``trig_c``.  With an mpmath context the values
+    come from a table of cos(pi*r/(2n)), r = 0..n, built once in the
+    context's precision; x is reduced mod 4n and folded by the exact
+    symmetries cos(-y) = cos(y) and cos(pi - y) = -cos(y), so no
+    high-precision trig call is made per entry.
+    """
+    if ctx is None:
+        return lambda x: trig_c(p, x)
+    n = p.n
+    table = [ctx.cospi(ctx.mpf(r) / (2 * n)) for r in range(n + 1)]
+
+    def cos(x):
+        r = int(x) % (4 * n)
+        if r > 2 * n:
+            r = 4 * n - r
+        return table[r] if r <= n else -table[2 * n - r]
+
+    return cos
+
+
+def rho(p, j, ctx=None):
+    """Boundary weight: sqrt(2) at j in {0, n}, 1 inside, 0 at j in {-1, n+1}.
+
+    ``ctx`` is an mpmath context for sqrt(2) in its precision, or ``None``.
+    """
     if j in (0, p.n):
-        return math.sqrt(2.0)
+        return math.sqrt(2.0) if ctx is None else ctx.sqrt(2)
     if 1 <= j <= p.n - 1:
         return 1.0
     if j in (-1, p.n + 1):
@@ -261,6 +292,19 @@ def _ambient_grid(p):
     return np.arange(2 * p.n)
 
 
+def _position_support(p):
+    """Where the position basis vectors live: for each row, the ambient
+    points j and (2n - j) mod 2n and the values taken there (these coincide
+    at j = 0 and j = n, where the two values add)."""
+    js = np.array(p.indices)
+    mirror = (2 * p.n - js) % (2 * p.n)
+    if p.parity is Parity.PLUS:
+        value = np.array([1.0 / (rho(p, j) * math.sqrt(2.0)) for j in p.indices])
+        return js, mirror, value, value
+    value = np.full(js.size, 1.0 / math.sqrt(2.0))
+    return js, mirror, value, -value
+
+
 def position_basis(p):
     """Rows = ambient values of the position basis vectors, in index order.
 
@@ -268,14 +312,11 @@ def position_basis(p):
     norm, for j = indices[r]; parity symmetry f(j) = +/- f(2n-j) holds
     entrywise.
     """
+    js, mirror, value, mirror_value = _position_support(p)
     rows = np.zeros((p.dim, 2 * p.n))
-    for r, j in enumerate(p.indices):
-        if p.parity is Parity.PLUS:
-            rows[r, j % (2 * p.n)] += 1.0 / (rho(p, j) * math.sqrt(2.0))
-            rows[r, (2 * p.n - j) % (2 * p.n)] += 1.0 / (rho(p, j) * math.sqrt(2.0))
-        else:
-            rows[r, j] += 1.0 / math.sqrt(2.0)
-            rows[r, 2 * p.n - j] -= 1.0 / math.sqrt(2.0)
+    r = np.arange(p.dim)
+    rows[r, js] += value
+    rows[r, mirror] += mirror_value
     return rows
 
 
@@ -295,14 +336,23 @@ def momentum_basis(p):
     return rows
 
 
-def fourier_block(p, ks, js):
+def fourier_block(p, ks, js, ctx=None):
     """Real block of the Fourier matrix: rows momentum labels ``ks``, columns
     position labels ``js``.
 
     Entry (k, j) is the overlap of momentum vector k with position vector j:
     sqrt(2/n) * cos(pi*k*j/n) / (rho(k)*rho(j)) on the symmetric subspace and
-    sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one.
+    sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one.  With an mpmath
+    context the block is a list of rows of mpf, cos(pi*k*j/n) read from
+    ``grid_cos`` at 2kj and sin(pi*k*j/n) at 2kj - n.
     """
+    if ctx is not None:
+        cos = grid_cos(p, ctx)
+        scale = ctx.sqrt(ctx.mpf(2) / p.n)
+        if p.parity is Parity.PLUS:
+            return [[scale * cos(2 * k * j) / (rho(p, k, ctx) * rho(p, j, ctx)) for j in js]
+                    for k in ks]
+        return [[scale * cos(2 * k * j - p.n) for j in js] for k in ks]
     ks = np.array(ks, dtype=float)
     js = np.array(js, dtype=float)
     if p.parity is Parity.PLUS:
@@ -315,14 +365,15 @@ def fourier_block(p, ks, js):
     return f
 
 
-def band_window_block(p):
+def band_window_block(p, ctx=None):
     """Band x window block E of the Fourier matrix (band rank x window rank).
 
     Labels ascend, so the band rows and the window columns are prefixes of
     the subspace labels.  On the window the time-band operator is E^T E.
+    ``ctx`` is passed to ``fourier_block``.
     """
     labels = p.indices
-    return fourier_block(p, labels[: p.band_rank], labels[: p.time_rank])
+    return fourier_block(p, labels[: p.band_rank], labels[: p.time_rank], ctx)
 
 
 def fourier_matrix(p):
@@ -337,16 +388,31 @@ def fourier_matrix(p):
 
 
 def grid_values(sv, p):
-    """Expand a tagged coefficient vector to ambient values on {0..2n-1}."""
-    rows = position_basis(p) if sv.basis.is_position else momentum_basis(p)
+    """Expand a tagged coefficient vector to ambient values on {0..2n-1}.
+
+    A position vector is scattered onto its two support points per row; a
+    momentum vector is summed over the dense momentum basis.
+    """
     if sv.basis.parity is not p.parity:
         raise BasisMismatchError("signal parity does not match params parity")
-    return sv.coeffs @ rows
+    if not sv.basis.is_position:
+        return sv.coeffs @ momentum_basis(p)
+    js, mirror, value, mirror_value = _position_support(p)
+    out = np.zeros(2 * p.n, dtype=complex)
+    out[js] = sv.coeffs * value
+    out[mirror] += sv.coeffs * mirror_value
+    return out
 
 
 def coefficients_of(values, p, kind):
-    """Project ambient values onto a tagged basis (adjoint of grid_values)."""
-    rows = position_basis(p) if kind.is_position else momentum_basis(p)
+    """Project ambient values onto a tagged basis (adjoint of grid_values).
+
+    Position coefficients gather the two support points of each row.
+    """
     if kind.parity is not p.parity:
         raise BasisMismatchError("basis parity does not match params parity")
-    return SignalVector(rows @ np.asarray(values, dtype=complex), kind)
+    values = np.asarray(values, dtype=complex)
+    if not kind.is_position:
+        return SignalVector(momentum_basis(p) @ values, kind)
+    js, mirror, value, mirror_value = _position_support(p)
+    return SignalVector(value * values[js] + mirror_value * values[mirror], kind)

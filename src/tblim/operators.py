@@ -18,6 +18,7 @@ from .core_model import (
     SignalVector,
     TridiagonalOperator,
     fourier_matrix,
+    grid_cos,
     momentum_kind,
     position_kind,
     rho,
@@ -123,13 +124,15 @@ def heun_general(a, astar, r1, r2, r3, r4, r5):
     return DenseOperator(out, a.basis)
 
 
-def heun_coefficients(p, side="position"):
+def heun_coefficients(p, side="position", ctx=None):
     """Tridiagonal action coefficients of the Heun operator, keyed by label.
 
     Returns functions (a, b, c) with a(j) the amplitude j -> j-1, b(j) the
     diagonal, c(j) the amplitude j -> j+1; a(j+1) == c(j).  ``side`` selects
     the position-basis coefficients (band limit K in the diagonal) or their
-    momentum mirrors (roles of K and L exchanged).
+    momentum mirrors (roles of K and L exchanged).  ``ctx`` selects the
+    arithmetic: ``None`` for double precision, an mpmath context for its
+    current precision (see ``core_model.grid_cos``).
     """
     if side == "position":
         kk, ll = p.K, p.L
@@ -138,16 +141,18 @@ def heun_coefficients(p, side="position"):
     else:
         raise DomainError(f"side must be 'position' or 'momentum', got {side!r}")
 
-    weight = (lambda j: rho(p, j)) if p.parity is Parity.PLUS else (lambda j: 1.0)
+    cos = grid_cos(p, ctx)
+    cos_k, cos_l = cos(2 * kk + 1), cos(2 * ll + 1)
+    weight = (lambda j: rho(p, j, ctx)) if p.parity is Parity.PLUS else (lambda j: 1.0)
 
     def a(j):
-        return weight(j - 1) * weight(j) * (trig_c(p, 2 * j - 1) - trig_c(p, 2 * ll + 1))
+        return weight(j - 1) * weight(j) * (cos(2 * j - 1) - cos_l)
 
     def b(j):
-        return -2.0 * trig_c(p, 2 * kk + 1) * trig_c(p, 2 * j)
+        return -2.0 * cos_k * cos(2 * j)
 
     def c(j):
-        return weight(j) * weight(j + 1) * (trig_c(p, 2 * j + 1) - trig_c(p, 2 * ll + 1))
+        return weight(j) * weight(j + 1) * (cos(2 * j + 1) - cos_l)
 
     return a, b, c
 

@@ -6,31 +6,58 @@ component ratios; a weighted sum of them interpolates the time-band
 eigenvalues and realizes the time-band operator as a window projector times a
 polynomial of the Heun operator.
 
-Coefficients are stored in the monomial basis, but tests and diagnostics can
-evaluate through the recurrence directly, which is the numerically stable
-path once degrees grow past ~20.
+Everything happens on the m x m window block (m the window rank): the Heun
+operator decouples exactly at the window edge, and there the time-band
+operator is E^T E for the band x window Fourier block E.  The link polynomial
+is P = sum_j w_j R_j with anchor weights w = E^T E[:, 0], and it is always
+evaluated through the recurrence (on a scalar, or on the tridiagonal block
+itself), never from monomial coefficients: those are kept for display and for
+tests, but their Horner evaluation loses most digits once degrees pass ~20.
+
+Near-full windows make the link hypersensitive to rounding, so
+``link_residuals_hp`` re-checks the identity in mpmath.  It reuses the model's
+builders (``heun_coefficients`` and ``band_window_block`` in an mpmath
+context), refines the double-precision eigenvalues of the window block by
+Newton's method and confirms them with Sturm counts, and takes each
+eigenvector from the recurrence: O(band rank * m^2) high-precision
+operations.  The number of digits follows a conditioning estimate (the digits
+the same check loses in double precision) and the result is confirmed at a
+second, higher precision; disagreement doubles the digits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DenseOperator, Parity
-from .errors import DegeneracyError, DomainError
-from .operators import heun_coefficients, tb_operator
+from .core_model import DenseOperator, band_window_block
+from .errors import ConvergenceError, DegeneracyError, DomainError
+from .operators import heun_coefficients
 
 __all__ = [
     "Polynomial",
+    "LinkResiduals",
     "recurrence_polys",
     "recurrence_values",
     "assemble_P",
     "eval_P_stable",
     "eval_poly_on_operator",
     "verify_Q_equals_piP",
+    "refine_eigenvalues",
     "link_residuals_hp",
 ]
+
+# digits kept beyond the conditioning estimate at the first precision, and
+# added for the confirming one
+_SPARE_DIGITS = 30
+_CONFIRM_DIGITS = 20
+_MAX_DIGITS = 2000
+# two precisions agree when both residuals are below this, or equal to 1 %
+_AGREE_FLOOR = 1e-20
+_AGREE_REL = 1e-2
+_NEWTON_STEPS = 40
 
 
 @dataclass
@@ -54,22 +81,42 @@ class Polynomial:
         return out[()]
 
 
-def _poly_count(p):
-    # one polynomial per window-block row
-    return p.time_rank
+def _window_coefficients(p, ctx=None):
+    """Diagonal b_j and couplings a_{j+1} of the Heun operator on the window
+    rows, j = 0 .. m-1 in recurrence order (m = window rank).
 
-
-def _recurrence_abc(p, step):
-    """Tridiagonal coefficients feeding recurrence step ``step``.
-
-    On the symmetric subspace polynomial j attaches to position j and the
-    step uses (a_{j+1}, b_j, c_{j-1}); on the antisymmetric one polynomial j
-    attaches to position j+1, shifting every index up by one.
+    On the symmetric subspace polynomial j attaches to position j; on the
+    antisymmetric one to position j+1.  Step j of the recurrence uses
+    (a_{j+1}, b_j, c_{j-1}) with c_{j-1} = a_j, so the couplings are the
+    off-diagonal of the window block; the last one is the window-edge
+    coupling, which vanishes identically.  An interior coupling below 1e-14
+    (L = n on the symmetric subspace) raises a degeneracy error.
+    ``ctx`` is the numeric context of ``heun_coefficients``.
     """
-    a, b, c = heun_coefficients(p, "position")
-    off = 0 if p.parity is Parity.PLUS else 1
-    j = step + off
-    return a(j + 1), b(j), c(j - 1)
+    a, b, _ = heun_coefficients(p, "position", ctx)
+    window = p.indices[: p.time_rank]
+    diag = [b(j) for j in window]
+    couplings = [a(j + 1) for j in window]
+    for step, a_next in enumerate(couplings[:-1]):
+        if abs(float(a_next)) < 1e-14:
+            raise DegeneracyError(
+                f"vanishing leading recurrence coefficient at step {step} "
+                f"(n={p.n}, L={p.L}, parity={p.parity.value})"
+            )
+    return diag, couplings
+
+
+def _recurrence(diag, couplings, x):
+    """R_0(x) .. R_{m-1}(x) with R_0 = 1 and
+    R_{j+1} = ((x - b_j) R_j - a_j R_{j-1}) / a_{j+1}, in the arithmetic of x
+    (a numpy array or an mpf)."""
+    vals = [x * 0 + 1]
+    for j in range(len(diag) - 1):
+        nxt = (x - diag[j]) * vals[j]
+        if j:
+            nxt = nxt - couplings[j - 1] * vals[j - 1]
+        vals.append(nxt / couplings[j])
+    return vals
 
 
 def recurrence_polys(p):
@@ -79,51 +126,38 @@ def recurrence_polys(p):
     which is guaranteed nonzero inside the window for L < n; a vanishing
     leading coefficient raises a degeneracy error.
     """
-    count = _poly_count(p)
-    if count == 0:
+    if p.time_rank == 0:
         return []
+    diag, couplings = _window_coefficients(p)
     polys = [Polynomial(np.array([1.0]))]
-    for step in range(count - 1):
-        a_next, b_cur, c_prev = _recurrence_abc(p, step)
-        if abs(a_next) < 1e-14:
-            raise DegeneracyError(
-                f"vanishing leading recurrence coefficient at step {step} "
-                f"(n={p.n}, L={p.L}, parity={p.parity.value})"
-            )
+    for step in range(len(diag) - 1):
         cur = polys[step].coeffs
         new = np.zeros(step + 2)
         new[1:] += cur                      # x * R_j
-        new[: step + 1] -= b_cur * cur
+        new[: step + 1] -= diag[step] * cur
         if step >= 1:
-            new[: step] -= c_prev * polys[step - 1].coeffs
-        polys.append(Polynomial(new / a_next))
+            new[: step] -= couplings[step - 1] * polys[step - 1].coeffs
+        polys.append(Polynomial(new / couplings[step]))
     return polys
 
 
 def recurrence_values(p, x):
     """Values R_j(x) for j = 0 .. window rank - 1, by running the recurrence
-    at the point x directly (stable evaluation path)."""
-    count = _poly_count(p)
-    vals = np.zeros(count, dtype=complex)
-    if count == 0:
-        return vals
-    vals[0] = 1.0
-    prev = 0.0
-    for step in range(count - 1):
-        a_next, b_cur, c_prev = _recurrence_abc(p, step)
-        if abs(a_next) < 1e-14:
-            raise DegeneracyError(f"vanishing leading recurrence coefficient at step {step}")
-        vals[step + 1] = ((x - b_cur) * vals[step] - c_prev * prev) / a_next
-        prev = vals[step]
-    return vals
+    at x directly (stable evaluation path).  For an array x the result has
+    shape (window rank,) + x.shape."""
+    x = np.asarray(x, dtype=complex)
+    if p.time_rank == 0:
+        return np.zeros((0,) + x.shape, dtype=complex)
+    diag, couplings = _window_coefficients(p)
+    return np.array(_recurrence(diag, couplings, x))
 
 
 def _anchor_weights(p):
-    """Weights <anchor| Q |j> pairing the recurrence polynomials;
-    the anchor is the first window position (0 or 1 by parity)."""
-    q = tb_operator(p).entries
-    count = _poly_count(p)
-    return np.real(q[0, :count])
+    """Weights <anchor| Q |j> pairing the recurrence polynomials, where the
+    anchor is the first window position: column 0 of E^T E for the
+    band x window Fourier block E."""
+    e = band_window_block(p)
+    return e.T @ e[:, 0]
 
 
 def assemble_P(p):
@@ -143,13 +177,11 @@ def assemble_P(p):
 
 
 def eval_P_stable(p, x):
-    """Evaluate the spectral-link polynomial at scalar x through the
-    recurrence (monomial-free path)."""
-    count = _poly_count(p)
-    if count == 0:
-        return 0.0j
-    w = _anchor_weights(p)
-    return w @ recurrence_values(p, x)
+    """Evaluate the spectral-link polynomial at x (a scalar or an array)
+    through the recurrence (monomial-free path)."""
+    if p.time_rank == 0:
+        return np.zeros_like(np.asarray(x, dtype=complex))[()]
+    return (_anchor_weights(p) @ recurrence_values(p, x))[()]
 
 
 def eval_poly_on_operator(poly, t):
@@ -163,140 +195,216 @@ def eval_poly_on_operator(poly, t):
     return DenseOperator(out, t.basis)
 
 
+def _link_on_window(diag, couplings, w):
+    """P(T) = sum_j w_j R_j(T) on the tridiagonal window block T, with
+    R_0 = I and R_{j+1} = ((T - b_j) R_j - a_j R_{j-1}) / a_{j+1}."""
+    m = len(diag)
+    d = np.asarray(diag, dtype=float)
+    off = np.asarray(couplings[: m - 1], dtype=float)[:, None]
+    r_prev, r = np.zeros((m, m)), np.eye(m)
+    out = w[0] * r
+    for j in range(m - 1):
+        nxt = (d[:, None] - diag[j]) * r
+        nxt[:-1] += off * r[1:]
+        nxt[1:] += off * r[:-1]
+        if j:
+            nxt -= couplings[j - 1] * r_prev
+        r_prev, r = r, nxt / couplings[j]
+        out += w[j + 1] * r
+    return out
+
+
 def verify_Q_equals_piP(p):
     """Max-norm defect of the identity: time-band operator equals window
     projector times the link polynomial of the Heun operator.
 
-    Computed in double precision.  Near-full windows (L close to n) make the
-    link polynomial's value at the spectrum hypersensitive to the eigenvalue
-    inputs, so the double-precision defect there reflects input rounding,
-    not the identity; ``link_residuals_hp`` resolves those cases.
+    Computed in double precision on the window block, where Q = E^T E and
+    P(T) comes from the three-term recurrence on the tridiagonal block; off
+    the window both sides vanish once the window-edge coupling does, which
+    enters the defect.  Near-full windows make the link polynomial
+    hypersensitive to rounding, so the double-precision defect there
+    reflects rounding, not the identity; ``link_residuals_hp`` resolves
+    those cases.
     """
-    from .operators import heun_tb, projector_time
-
-    q = tb_operator(p).entries
-    poly = assemble_P(p)
-    t_dense = heun_tb(p).to_dense()
-    pt = eval_poly_on_operator(poly, t_dense).entries
-    p1 = projector_time(p).entries
-    diff = q - p1 @ pt
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    if p.time_rank == 0:
+        return 0.0
+    diag, couplings = _window_coefficients(p)
+    e = band_window_block(p)
+    pt = _link_on_window(diag, couplings, e.T @ e[:, 0])
+    return float(max(np.max(np.abs(e.T @ e - pt)), abs(couplings[-1])))
 
 
-def link_residuals_hp(p, dps=40):
-    """(operator, eigenbasis) residuals of the spectral-link identity,
-    recomputed end to end in ``dps``-digit arithmetic.
+@dataclass(frozen=True)
+class LinkResiduals:
+    """High-precision residuals of the spectral link at the highest
+    precision tried: ``operator`` = ||Q - P(T)||_F on the window (at least
+    the max-norm defect), ``eigenbasis`` = max_l |P(t_l) - q_l|.
+
+    ``trials`` lists (digits, operator, eigenbasis) for every precision
+    tried, lowest first.  Unpacks as the pair (operator, eigenbasis).
+    """
+
+    operator: float
+    eigenbasis: float
+    trials: tuple = ()
+
+    def __iter__(self):
+        return iter((self.operator, self.eigenbasis))
+
+    @property
+    def digits(self):
+        return tuple(trial[0] for trial in self.trials)
+
+
+def _charpoly(diag, e2, x):
+    """Characteristic polynomial of a symmetric tridiagonal matrix (squared
+    off-diagonal ``e2``) and its derivative at x, by the three-term
+    recurrence."""
+    f_prev, f = 1, x - diag[0]
+    d_prev, d = 0, 1
+    for k in range(1, len(diag)):
+        f_prev, f, d_prev, d = (
+            f, (x - diag[k]) * f - e2[k - 1] * f_prev,
+            d, f + (x - diag[k]) * d - e2[k - 1] * d_prev,
+        )
+    return f, d
+
+
+def _count_below(diag, e2, x, tiny):
+    """Sturm count: the number of eigenvalues below x, read off the signs of
+    the pivots of T - x I = L D L^T (a zero pivot is replaced by ``tiny``)."""
+    count, u = 0, None
+    for k in range(len(diag)):
+        u = diag[k] - x - (e2[k - 1] / u if k else 0)
+        if not u:
+            u = tiny
+        if u < 0:
+            count += 1
+    return count
+
+
+def refine_eigenvalues(diag, off, guesses, ctx):
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal ``diag``
+    and off-diagonal ``off`` in the precision of the mpmath context ``ctx``,
+    refined from ``guesses`` (one per eigenvalue: double-precision values, or
+    the roots of a lower precision) by Newton's method on the characteristic
+    polynomial.
+
+    Returned ascending once confirmed to be m distinct roots: with h_i a
+    quarter of the distance from root x_i to its nearest neighbour, a Sturm
+    count finds exactly i eigenvalues below x_i - h_i and i + 1 below
+    x_i + h_i, so every root brackets its own eigenvalue and none is counted
+    twice.  Otherwise ConvergenceError.
+    """
+    m = len(diag)
+    if len(guesses) != m:
+        raise DomainError(f"{len(guesses)} guesses for {m} eigenvalues")
+    diag = [ctx.mpf(d) for d in diag]
+    e2 = [ctx.mpf(e) ** 2 for e in off[: m - 1]]
+    scale = 1 + max(abs(d) for d in diag) + 2 * max((abs(ctx.mpf(e)) for e in off[: m - 1]), default=0)
+    tol = 4 * ctx.eps * scale
+    roots = []
+    for guess in guesses:
+        x, last = ctx.mpf(guess), None
+        for _ in range(_NEWTON_STEPS):
+            f, df = _charpoly(diag, e2, x)
+            if not df:
+                break
+            step = f / df
+            x -= step
+            if abs(step) <= tol or (last is not None and abs(step) > last / 2):
+                break
+            last = abs(step)
+        roots.append(x)
+    roots.sort()
+    for i, x in enumerate(roots):
+        h = min((abs(roots[k] - x) for k in (i - 1, i + 1) if 0 <= k < m), default=scale) / 4
+        if _count_below(diag, e2, x - h, ctx.eps) != i \
+                or _count_below(diag, e2, x + h, ctx.eps) != i + 1:
+            raise ConvergenceError(
+                f"refined eigenvalue {i} of {m} does not bracket its own eigenvalue "
+                f"at {ctx.dps} digits"
+            )
+    return roots
+
+
+def _link_residuals_at(p, guesses, ctx):
+    """(operator, eigenbasis) residuals of the link in the current precision
+    of ``ctx`` (see ``link_residuals_hp``), and the refined eigenvalues."""
+    diag, couplings = _window_coefficients(p, ctx)
+    e_rows = band_window_block(p, ctx)
+    e_cols = [[row[c] for row in e_rows] for c in range(len(diag))]
+    w = [ctx.fdot(col, e_cols[0]) for col in e_cols]
+    op_sq = eig = ctx.mpf(0)
+    roots = refine_eigenvalues(diag, couplings, guesses, ctx)
+    for t in roots:
+        r = _recurrence(diag, couplings, t)
+        norm = ctx.sqrt(ctx.fdot(r, r))
+        v = [x / norm for x in r]
+        ev = [ctx.fdot(row, v) for row in e_rows]
+        p_t = ctx.fdot(w, r)
+        eig = max(eig, abs(p_t - ctx.fdot(ev, ev)))
+        defect = [ctx.fdot(col, ev) - p_t * vi for col, vi in zip(e_cols, v)]
+        op_sq += ctx.fdot(defect, defect)
+    return max(float(ctx.sqrt(op_sq)), abs(float(couplings[-1]))), float(eig), roots
+
+
+def _starting_digits(p, diag, couplings, ts):
+    """Digits for the first high-precision pass: those the eigenbasis form
+    of the check loses in double precision (log10 of its double defect over
+    the unit roundoff), plus a margin."""
+    with np.errstate(all="ignore"):
+        vals = np.array(_recurrence(diag, couplings, ts))
+        e = band_window_block(p)
+        v = vals / np.linalg.norm(vals, axis=0)
+        defect = float(np.max(np.abs((e.T @ e[:, 0]) @ vals - np.sum((e @ v) ** 2, axis=0))))
+    eps = np.finfo(float).eps / 2
+    lost = math.log10(max(defect, eps) / eps) if defect < 1e300 else 300.0
+    return _SPARE_DIGITS + math.ceil(lost)
+
+
+def _agree(first, second):
+    return all(max(x, y) <= _AGREE_FLOOR or abs(x - y) <= _AGREE_REL * max(x, y)
+               for x, y in zip(first, second))
+
+
+def link_residuals_hp(p):
+    """Residuals of the spectral-link identity recomputed in mpmath, as a
+    ``LinkResiduals`` that unpacks as (operator, eigenbasis).
 
     The derivative of the link polynomial at its own interpolation nodes can
     exceed 1e10 when the window nearly fills the subspace, so any pipeline
-    consuming double-precision eigenvalues bottoms out near 1e-6 there.
-    Rebuilding the window block, its spectrum, the anchor weights, and the
-    recurrence at high precision verifies the identity itself, independent
-    of that sensitivity.  Off-window entries of both sides vanish exactly by
-    the window-edge decoupling and are checked in double precision.
+    consuming double-precision eigenvalues bottoms out far above rounding
+    there.  This rebuilds the window block of the Heun operator and the
+    band x window block E at high precision, refines the window eigenvalues
+    t_l (``refine_eigenvalues``), and takes the eigenvectors v_l from the
+    recurrence, v_l proportional to (R_0(t_l), .., R_{m-1}(t_l)).  With
+    q_l = ||E v_l||^2 (unit v_l) it reports
+
+        eigenbasis = max_l |P(t_l) - q_l|
+        operator   = (sum_l ||E^T E v_l - P(t_l) v_l||^2)^(1/2) = ||Q - P(T)||_F
+
+    on the window (Q and P1 P(T) vanish outside it once the window-edge
+    coupling does, which is included).  The first precision is the digits
+    the double-precision check loses plus a margin; a second, higher
+    precision confirms it, and while the two disagree the digits double.
     """
-    import mpmath as mp
+    m = p.time_rank
+    if m == 0:
+        return LinkResiduals(0.0, 0.0)
+    import mpmath
 
-    from .operators import heun_tb, projector_time
-
-    count = _poly_count(p)
-    if count == 0:
-        return 0.0, 0.0
-
-    # exact-zero structure outside the window block (double precision is exact here)
-    q64 = tb_operator(p).entries
-    p1 = projector_time(p).entries
-    t64 = heun_tb(p)
-    window = count
-    off_block = max(
-        float(np.max(np.abs(q64[window:, :]))) if window < p.dim else 0.0,
-        float(np.max(np.abs(q64[:, window:]))) if window < p.dim else 0.0,
-        abs(t64.offdiag[window - 1]) if 0 < window < p.dim else 0.0,
-    )
-
-    with mp.workdps(dps):
-        n = p.n
-        pi = mp.pi
-
-        def cos_g(x):
-            return mp.cos(pi * x / (2 * n))
-
-        def rho_mp(j):
-            if j in (0, n):
-                return mp.sqrt(2)
-            return mp.mpf(1) if 1 <= j <= n - 1 else mp.mpf(0)
-
-        plus = p.parity is Parity.PLUS
-        idx = p.indices
-        band = [k for k in idx if k <= p.K]
-        win = [j for j in idx if j <= p.L]
-
-        # band x window block of the Fourier matrix; Q window block = M^T M
-        m_mat = mp.zeros(len(band), len(win))
-        for r, k in enumerate(band):
-            for c_i, j in enumerate(win):
-                if plus:
-                    m_mat[r, c_i] = mp.sqrt(mp.mpf(2) / n) * mp.cos(pi * k * j / n) \
-                        / (rho_mp(k) * rho_mp(j))
-                else:
-                    m_mat[r, c_i] = mp.sqrt(mp.mpf(2) / n) * mp.sin(pi * k * j / n)
-        q_top = m_mat.T * m_mat
-
-        weight = rho_mp if plus else (lambda j: mp.mpf(1))
-        ck = cos_g(2 * p.K + 1)
-        cl = cos_g(2 * p.L + 1)
-
-        def a_mp(j):
-            return weight(j - 1) * weight(j) * (cos_g(2 * j - 1) - cl)
-
-        def b_mp(j):
-            return -2 * ck * cos_g(2 * j)
-
-        t_top = mp.zeros(count, count)
-        for r, j in enumerate(win):
-            t_top[r, r] = b_mp(j)
-            if r + 1 < count:
-                t_top[r, r + 1] = t_top[r + 1, r] = a_mp(j + 1)
-
-        off = 0 if plus else 1
-
-        # monomial coefficients of the link polynomial
-        polys = [[mp.mpf(1)]]
-        for step in range(count - 1):
-            j = step + off
-            cur = polys[step]
-            new = [mp.mpf(0)] * (step + 2)
-            for i, ci in enumerate(cur):
-                new[i + 1] += ci
-                new[i] -= b_mp(j) * ci
-            if step >= 1:
-                c_prev = weight(j - 1) * weight(j) * (cos_g(2 * j - 1) - cl)
-                for i, ci in enumerate(polys[step - 1]):
-                    new[i] -= c_prev * ci
-            a_next = a_mp(j + 1)
-            polys.append([x / a_next for x in new])
-        coeffs = [mp.mpf(0)] * count
-        for j in range(count):
-            for i, ci in enumerate(polys[j]):
-                coeffs[i] += q_top[0, j] * ci
-
-        # operator form on the window block (Horner)
-        acc = mp.zeros(count, count)
-        eye = mp.eye(count)
-        for c_coef in coeffs[::-1]:
-            acc = acc * t_top + c_coef * eye
-        op_res = max(abs(q_top[i, j] - acc[i, j]) for i in range(count) for j in range(count))
-
-        # eigenbasis form
-        evals, evecs = mp.eigsy(t_top)
-        eig_res = mp.mpf(0)
-        for l in range(count):
-            t_val = evals[l]
-            v = evecs[:, l]
-            q_val = (v.T * q_top * v)[0, 0]
-            p_val = mp.mpf(0)
-            for c_coef in coeffs[::-1]:
-                p_val = p_val * t_val + c_coef
-            eig_res = max(eig_res, abs(p_val - q_val))
-
-        return max(float(op_res), off_block), float(eig_res)
+    diag, couplings = _window_coefficients(p)
+    block = np.diag(diag) + np.diag(couplings[: m - 1], 1) + np.diag(couplings[: m - 1], -1)
+    guesses = np.linalg.eigvalsh(block)
+    dps = _starting_digits(p, diag, couplings, guesses)
+    trials = []
+    while True:
+        with mpmath.workdps(dps):
+            r_op, r_eig, guesses = _link_residuals_at(p, guesses, mpmath.mp)
+        trials.append((dps, r_op, r_eig))
+        if len(trials) > 1 and _agree(trials[-2][1:], trials[-1][1:]) or dps >= _MAX_DIGITS:
+            break
+        dps = dps + _CONFIRM_DIGITS if len(trials) == 1 else 2 * dps
+    _, r_op, r_eig = trials[-1]
+    return LinkResiduals(r_op, r_eig, tuple(trials))

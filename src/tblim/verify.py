@@ -8,6 +8,8 @@ silently dropped or failed.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +34,13 @@ from .operators import (
     tb_operator,
     to_momentum_basis,
 )
-from .polymap import eval_P_stable, verify_Q_equals_piP
+from .polymap import eval_P_stable, link_residuals_hp, verify_Q_equals_piP
 from .spectral import eig_sym_dense, eig_sym_tridiag, joint_spectrum, svd_E, top_block_dim
 from .core_model import trig_c, trig_s
 
 __all__ = ["CheckResult", "run_suite"]
+
+log = logging.getLogger("tblim")
 
 
 @dataclass
@@ -120,13 +124,21 @@ def run_suite(p, rng=None):
     else:
         r_op = verify_Q_equals_piP(p)
         modes = joint_spectrum(p)
-        r_eig = max((abs(eval_P_stable(p, m.t) - m.q) for m in modes), default=0.0)
+        ts = np.array([m.t for m in modes])
+        qs = np.array([m.q for m in modes])
+        r_eig = float(np.max(np.abs(eval_P_stable(p, ts) - qs), initial=0.0))
         note = ""
         if r_op > 1e-8 or r_eig > 1e-9:
-            from .polymap import link_residuals_hp
-
-            r_op, r_eig = link_residuals_hp(p)
-            note = "re-verified at 40-digit precision"
+            t0 = time.perf_counter()
+            hp = link_residuals_hp(p)
+            log.info("polymap escalation n=%d K=%d L=%d %s: double operator %.3e, "
+                     "eigenbasis %.3e; %s; %.3f s",
+                     p.n, p.K, p.L, p.parity.value, r_op, r_eig,
+                     ", ".join(f"{d} digits operator {o:.3e} eigenbasis {e:.3e}"
+                               for d, o, e in hp.trials),
+                     time.perf_counter() - t0)
+            r_op, r_eig = hp
+            note = f"re-verified at {' and '.join(map(str, hp.digits))} digits"
         res_op = _check("polymap_operator_identity", r_op, 1e-7)
         res_eig = _check("polymap_interpolation", r_eig, 1e-8)
         res_op.note = res_eig.note = note

@@ -108,6 +108,18 @@ class TestVerify:
                            "--parity", "plus")
         assert code == 0
 
+    @pytest.mark.parametrize("n,K,L", [(64, 16, 48), (128, 32, 96)])
+    def test_near_full_window_link_passes(self, capsys, tmp_path, n, K, L):
+        out_file = tmp_path / "v.json"
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--K", str(K), "--L", str(L),
+                           "--parity", "plus", "--out", str(out_file))
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out_file.read_text())["checks"]}
+        for name in ("polymap_operator_identity", "polymap_interpolation"):
+            assert checks[name]["passed"] and not checks[name]["skipped"]
+            assert checks[name]["note"].startswith("re-verified at ")
+            assert checks[name]["note"].endswith(" digits")
+
     def test_corrupted_operator_file(self, capsys, tmp_path):
         ops = tmp_path / "ops.json"
         main(["build", "--n", "6", "--K", "2", "--L", "3", "--parity", "minus",
@@ -246,3 +258,26 @@ class TestLogging:
         assert loud.stdout == quiet.stdout
         assert "tblim DEBUG: joint_spectrum n=8 K=3 L=4 plus: window rank 5, " \
             "min eigenvalue gap 6.348e-01, max joint residual" in loud.stderr
+
+    def test_info_logs_each_link_escalation(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        args = [sys.executable, "-m", "tblim.cli", "verify", "--n", "24", "--K", "6",
+                "--L", "18", "--parity", "plus"]
+        env.pop("TBLIM_LOG", None)
+        quiet = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+        loud = subprocess.run(args + ["--out", str(tmp_path / "v.json")],
+                              env=dict(env, TBLIM_LOG="info"), capture_output=True, text=True,
+                              check=True)
+        assert quiet.stderr == ""
+        lines = [ln for ln in loud.stderr.splitlines() if "polymap escalation" in ln]
+        assert len(lines) == 1
+        line = lines[0]
+        assert line.startswith("tblim INFO: polymap escalation n=24 K=6 L=18 plus: "
+                               "double operator ")
+        assert line.endswith(" s")
+        doc = json.loads((tmp_path / "v.json").read_text())
+        note = {c["name"]: c["note"] for c in doc["checks"]}["polymap_operator_identity"]
+        digits = note[len("re-verified at "):-len(" digits")].split(" and ")
+        assert len(digits) >= 2
+        for d in digits:
+            assert f"{d} digits operator " in line

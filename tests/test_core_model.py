@@ -196,3 +196,34 @@ class TestGridRoundTrip:
                           position_kind(Parity.MINUS))
         back = coefficients_of(grid_values(sv, p), p, position_kind(Parity.MINUS))
         assert mx(back.coeffs - sv.coeffs) < 1e-13
+
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_position_gather_scatter_matches_dense_basis(self, parity):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 8, 33):
+            p = make(n, 0, 0, parity)
+            rows = position_basis(p)
+            kind = position_kind(parity)
+            coeffs = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
+            values = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+            assert mx(grid_values(SignalVector(coeffs, kind), p) - coeffs @ rows) < 1e-15
+            assert mx(coefficients_of(values, p, kind).coeffs - rows @ values) < 1e-15
+
+
+class TestNumericContext:
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_mpmath_block_matches_double(self, parity):
+        import mpmath
+
+        from tblim.core_model import band_window_block, grid_cos
+
+        for n, K, L in ((7, 3, 5), (16, 16, 9), (12, 0, 11)):
+            p = make(n, K, L, parity)
+            with mpmath.workdps(40):
+                block = band_window_block(p, mpmath.mp)
+                cos = grid_cos(p, mpmath.mp)
+                for x in range(-5 * n, 5 * n):
+                    assert abs(cos(x) - mpmath.cos(mpmath.pi * x / (2 * n))) < 1e-38
+            dense = np.array(block, dtype=float).reshape(p.band_rank, p.time_rank)
+            # double precision evaluates cos(pi*k*j/n) at arguments up to ~n*pi
+            assert mx(dense - band_window_block(p)) < 1e-14

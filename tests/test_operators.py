@@ -263,3 +263,20 @@ class TestBasisDiscipline:
         p = make(5, 2, 3, Parity.PLUS)
         with pytest.raises(BasisMismatchError):
             projector_time(p) @ projector_band_momentum(p)
+
+
+class TestHeunCoefficientsContext:
+    @pytest.mark.parametrize("side", ["position", "momentum"])
+    def test_mpmath_matches_double(self, side):
+        import mpmath
+
+        for p in (make(9, 3, 5, Parity.PLUS), make(9, 3, 5, Parity.MINUS),
+                  make(16, 16, 0, Parity.PLUS)):
+            dbl = heun_coefficients(p, side)
+            with mpmath.workdps(50):
+                hp = heun_coefficients(p, side, mpmath.mp)
+                for j in p.indices:
+                    for f_dbl, f_hp in zip(dbl, hp):
+                        assert abs(f_hp(j) - f_dbl(j)) < 1e-14
+                edge = p.L + 1 if side == "position" else p.K + 1
+                assert hp[0](edge) == 0

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from tblim.core_model import DenseOperator, ModelParams, Parity, position_kind
-from tblim.errors import DegeneracyError
+from tblim.errors import ConvergenceError, DegeneracyError
 from tblim.operators import heun_coefficients, heun_tb, projector_time, tb_operator
 from tblim.polymap import (
     Polynomial,
     assemble_P,
     eval_P_stable,
     eval_poly_on_operator,
+    link_residuals_hp,
     recurrence_polys,
     recurrence_values,
+    refine_eigenvalues,
     verify_Q_equals_piP,
 )
 from tblim.spectral import joint_spectrum
@@ -133,3 +135,154 @@ class TestFullIdentity:
 
     def test_empty_window_trivial(self):
         assert verify_Q_equals_piP(make(6, 3, 0, Parity.MINUS)) == 0.0
+
+
+class TestHighPrecisionOracle:
+    def test_unpacks_as_pair_with_trials(self):
+        p = make(8, 2, 5, Parity.PLUS)
+        res = link_residuals_hp(p)
+        r_op, r_eig = res
+        assert (r_op, r_eig) == (res.operator, res.eigenbasis)
+        assert len(res.trials) >= 2
+        assert res.digits == tuple(sorted(set(res.digits)))
+        assert res.trials[-1][1:] == (r_op, r_eig)
+
+    def test_precisions_agree_on_small_grid(self):
+        for n in range(2, 13):
+            for parity in (Parity.PLUS, Parity.MINUS):
+                for K in range(n + 1):
+                    for L in range(n):
+                        res = link_residuals_hp(make(n, K, L, parity))
+                        for digits, r_op, r_eig in res.trials:
+                            assert r_op < 1e-20 and r_eig < 1e-20, (n, K, L, parity, digits)
+
+    @pytest.mark.parametrize("n,K,L,parity", [
+        (8, 3, 4, Parity.PLUS), (12, 5, 7, Parity.MINUS), (24, 6, 18, Parity.PLUS),
+        (64, 16, 48, Parity.PLUS),
+    ])
+    def test_perturbed_block_fails_at_every_precision(self, monkeypatch, n, K, L, parity):
+        import tblim.polymap as polymap
+
+        exact = polymap.band_window_block
+
+        def perturbed(p, ctx=None):
+            e = exact(p, ctx)
+            if ctx is None:
+                e = e.copy()
+                e[0, 1] += 1e-6
+            else:
+                e[0][1] += ctx.mpf("1e-6")
+            return e
+
+        monkeypatch.setattr(polymap, "band_window_block", perturbed)
+        res = link_residuals_hp(make(n, K, L, parity))
+        assert len(res.trials) >= 2
+        for digits, r_op, r_eig in res.trials:
+            assert r_op >= 1e-7 and r_eig >= 1e-8, (digits, r_op, r_eig)
+
+    @pytest.mark.parametrize("n,K,L", [(64, 16, 48), (128, 32, 96)])
+    def test_near_full_windows_need_adaptive_digits(self, n, K, L):
+        res = link_residuals_hp(make(n, K, L, Parity.PLUS))
+        assert res.operator < 1e-20 and res.eigenbasis < 1e-20
+        # the double-precision defect of these windows is far above 1, so a
+        # fixed 40 digits would not resolve them
+        assert verify_Q_equals_piP(make(n, K, L, Parity.PLUS)) > 1.0
+        assert min(res.digits) > 40
+
+    def test_block_route_builds_no_n_by_n_matrix(self, monkeypatch):
+        import sys
+
+        import mpmath
+
+        import tblim.cli  # noqa: F401  (loads every tblim module)
+        from tblim.core_model import TridiagonalOperator
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an n x n builder or an mpmath eigensolver ran")
+
+        for name, module in list(sys.modules.items()):
+            if name == "tblim" or name.startswith("tblim."):
+                for attr in ("fourier_matrix", "tb_operator", "projector_band"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
+        for attr in ("eigsy", "eig", "matrix"):
+            monkeypatch.setattr(mpmath.mp, attr, refuse)
+        p = make(64, 16, 48, Parity.PLUS)
+        assert verify_Q_equals_piP(p) > 1.0
+        modes = joint_spectrum(p)
+        vals = eval_P_stable(p, np.array([m.t for m in modes]))
+        assert vals.shape == (len(modes),)
+        r_op, r_eig = link_residuals_hp(p)
+        assert r_op < 1e-20 and r_eig < 1e-20
+
+
+class TestStableEvaluation:
+    def test_operator_identity_on_window_is_tight(self):
+        # the recurrence on the window block keeps rounding level where the
+        # monomial Horner product lost it (7.4e-3 and 4.4e7 here)
+        assert verify_Q_equals_piP(make(96, 24, 8, Parity.PLUS)) < 1e-12
+        assert verify_Q_equals_piP(make(96, 16, 16, Parity.PLUS)) < 1e-8
+
+    def test_matches_dense_oracle(self):
+        for p in (make(6, 2, 3, Parity.MINUS), make(9, 4, 5, Parity.PLUS),
+                  make(10, 3, 9, Parity.MINUS)):
+            q = tb_operator(p).entries
+            p1 = projector_time(p).entries
+            pt = eval_poly_on_operator(assemble_P(p), heun_tb(p).to_dense()).entries
+            assert abs(verify_Q_equals_piP(p) - mx(q - p1 @ pt)) < 1e-9
+
+    def test_array_evaluation_matches_scalar(self):
+        p = make(12, 5, 7, Parity.PLUS)
+        ts = np.array([m.t for m in joint_spectrum(p)])
+        vals = eval_P_stable(p, ts)
+        assert vals.shape == ts.shape
+        # the same recurrence elementwise; only the summation order of the
+        # weighted sum may differ
+        for t, v in zip(ts, vals):
+            assert abs(eval_P_stable(p, t) - v) < 1e-14
+
+
+class TestRefineEigenvalues:
+    @staticmethod
+    def wilkinson(size):
+        half = (size - 1) // 2
+        return [float(abs(k)) for k in range(-half, half + 1)], [1.0] * (size - 1)
+
+    def test_close_pair_gives_distinct_roots(self):
+        import mpmath
+
+        # the top two eigenvalues of W21+ agree to 7e-14
+        diag, off = self.wilkinson(21)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        guesses = np.linalg.eigvalsh(dense)
+        with mpmath.workdps(50):
+            roots = refine_eigenvalues(diag, off, guesses, mpmath.mp)
+            exact = sorted(mpmath.eigsy(mpmath.matrix(dense.tolist()), eigvals_only=True))
+            assert len(roots) == 21
+            assert all(b > a for a, b in zip(roots, roots[1:]))
+            assert 0 < roots[-1] - roots[-2] < 1e-12
+            assert max(abs(a - b) for a, b in zip(roots, exact)) < mpmath.mpf(10) ** -45
+
+    def test_duplicate_guess_is_refused(self):
+        import mpmath
+
+        diag, off = self.wilkinson(7)
+        guesses = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        guesses[0] = guesses[1]
+        with mpmath.workdps(40):
+            with pytest.raises(ConvergenceError):
+                refine_eigenvalues(diag, off, guesses, mpmath.mp)
+
+
+def test_import_leaves_mpmath_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import tblim
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, tblim; assert 'mpmath' not in sys.modules"],
+                   env=env, check=True)
