@@ -24,6 +24,7 @@ parameter and matches a still-unmatched window eigenvalue.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,11 +164,31 @@ def g_fn(p, u, v, m):
 # dynamical operators
 
 
+@functools.lru_cache(maxsize=1)
 def _pair_matrices(p):
+    """The Leonard pair A, A* and the products {A, A*} and [A, A*] as dense
+    read-only matrices, built once per instance.
+
+    A has a zero diagonal and A* is diagonal, so both products are
+    tridiagonal: with hopping weights a_j and diagonal s_j, the entry (j, j+1)
+    is a_j s_{j+1} + s_j a_j of the anticommutator and a_j s_{j+1} - s_j a_j
+    of the commutator.  They are formed entrywise in that order, which gives
+    the same numbers as the dense matrix products.
+    """
     a, astar = leonard_pair(p)
     am = a.to_dense().entries
     sm = astar.to_dense().entries
-    return am, sm, am @ sm + sm @ am, am @ sm - sm @ am
+    hop, s = a.offdiag, astar.diag
+    right, left = hop * s[1:], s[:-1] * hop     # (A A*)_{j,j+1}, (A* A)_{j,j+1}
+    rows = np.arange(p.dim - 1)
+    anti = np.zeros((p.dim, p.dim), dtype=complex)
+    comm = np.zeros((p.dim, p.dim), dtype=complex)
+    anti[rows, rows + 1] = anti[rows + 1, rows] = right + left
+    comm[rows, rows + 1] = right - left
+    comm[rows + 1, rows] = left - right
+    for m in (am, sm, anti, comm):
+        m.flags.writeable = False
+    return am, sm, anti, comm
 
 
 def dyn_D(p, u, m):
@@ -315,16 +336,6 @@ def bethe_state(p, variant, roots):
     for x, m in zip(roots[::-1], slots[::-1]):
         v = dyn_B(p, x, m).entries @ v
     return SignalVector(v, position_kind(p.parity))
-
-
-def _bethe_state_scaled(p, variant, roots):
-    """Same direction as bethe_state but with every factor multiplied by its
-    s(2m); well-defined at degenerate slots."""
-    roots = _check_roots(variant, p.L, roots)
-    v = _vacuum(p)
-    for x, m in zip(roots[::-1], bethe_slots(variant, p.L)[::-1]):
-        v = _dyn_B_scaled(p, x, m) @ v
-    return v
 
 
 def check_offshell_action(p, u, roots):
@@ -491,21 +502,22 @@ def canonicalize_roots(p, roots):
 
     The equations and states depend on a root only through cos(pi*x/n), so x
     is defined modulo 2n and up to sign.  The real part is folded into
-    (-n, n], the sign is fixed to make it nonnegative, and on the boundary
-    lines Re = 0 and Re = n the imaginary part is made nonnegative.  Roots
-    are then sorted lexicographically by (Re, Im).
+    (-n, n], the sign is fixed to make it nonnegative, and then, on the
+    boundary lines Re = 0 and Re = n (within 1e-9), the imaginary part is
+    made nonnegative.  The boundary rule reads the real part that is
+    returned, so a second pass changes nothing.  Roots are then sorted
+    lexicographically by (Re, Im).
     """
     out = []
     for x in np.asarray(roots, dtype=complex).ravel():
-        re = float(np.real(x)) % (2 * p.n)
+        re, im = float(np.real(x)) % (2 * p.n), float(np.imag(x))
         if re > p.n + 1e-12:
             re -= 2 * p.n
-        x = re + 1j * float(np.imag(x))
-        if re < -1e-12:
-            x = -x
-        elif abs(re) <= 1e-9 or abs(re - p.n) <= 1e-9:
-            x = complex(abs(re) if abs(re) <= 1e-9 else re, abs(x.imag))
-        out.append(x)
+        if re < 0.0:
+            re, im = -re, -im
+        if re <= 1e-9 or abs(re - p.n) <= 1e-9:
+            im = abs(im)
+        out.append(complex(re, im))
     out.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     return np.array(out, dtype=complex)
 

@@ -79,22 +79,24 @@ def _write(cfg, text):
         sys.stdout.write(text)
 
 
-def _operator_payloads(p):
+def _operators(p):
+    """Every operator that ``build`` writes, by payload name."""
     a, astar = leonard_pair(p)
     return {
-        "A": pack_operator(a.to_dense()),
-        "A_star": pack_operator(astar.to_dense()),
-        "pi1": pack_operator(projector_time(p)),
-        "pi2": pack_operator(projector_band(p)),
-        "Q": pack_operator(tb_operator(p)),
-        "T_position": pack_operator(heun_tb(p).to_dense()),
-        "T_momentum": pack_operator(heun_tb_momentum(p).to_dense()),
+        "A": a.to_dense(),
+        "A_star": astar.to_dense(),
+        "pi1": projector_time(p),
+        "pi2": projector_band(p),
+        "Q": tb_operator(p),
+        "T_position": heun_tb(p).to_dense(),
+        "T_momentum": heun_tb_momentum(p).to_dense(),
     }
 
 
 def cmd_build(cfg):
     p = cfg.params()
-    doc = {"command": "build", "params": cfg.params_dict(), "operators": _operator_payloads(p)}
+    payloads = {name: pack_operator(op) for name, op in _operators(p).items()}
+    doc = {"command": "build", "params": cfg.params_dict(), "operators": payloads}
     _write(cfg, canonical_json(doc))
     return EXIT_OK
 
@@ -145,7 +147,7 @@ def _compare_stored(cfg, p, checks):
         payloads = stored["operators"]
     except (OSError, ValueError, KeyError) as exc:
         raise TblimError(f"cannot read operator file {cfg.operators!r}: {exc}") from exc
-    fresh = _operator_payloads(p)
+    fresh = _operators(p)
     from .verify import CheckResult
 
     for name, payload in sorted(payloads.items()):
@@ -154,7 +156,7 @@ def _compare_stored(cfg, p, checks):
             continue
         try:
             loaded = unpack_operator(payload)
-            want = unpack_operator(fresh[name])
+            want = fresh[name]
             diff = float(np.max(np.abs(loaded.entries - want.entries))) if loaded.dim else 0.0
             same_shape = loaded.dim == want.dim and loaded.basis is want.basis
             checks.append(CheckResult(f"stored_{name}", diff if same_shape else np.inf,

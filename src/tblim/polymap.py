@@ -27,6 +27,7 @@ second, higher precision; disagreement doubles the digits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,8 +92,28 @@ def _window_coefficients(p, ctx=None):
     off-diagonal of the window block; the last one is the window-edge
     coupling, which vanishes identically.  An interior coupling below 1e-14
     (L = n on the symmetric subspace) raises a degeneracy error.
-    ``ctx`` is the numeric context of ``heun_coefficients``.
+    ``ctx`` is the numeric context of ``heun_coefficients``; in double
+    precision (``ctx=None``) the result is a pair of read-only arrays built
+    once per instance.
     """
+    if ctx is None:
+        return _double_window_coefficients(p)
+    return _window_rows(p, ctx)
+
+
+@functools.lru_cache(maxsize=32)
+def _double_window_coefficients(p):
+    return tuple(_read_only(np.array(values, dtype=float)) for values in _window_rows(p))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _window_rows(p, ctx=None):
+    """The lists behind ``_window_coefficients``, in the arithmetic of
+    ``ctx``."""
     a, b, _ = heun_coefficients(p, "position", ctx)
     window = p.indices[: p.time_rank]
     diag = [b(j) for j in window]
@@ -152,12 +173,14 @@ def recurrence_values(p, x):
     return np.array(_recurrence(diag, couplings, x))
 
 
+@functools.lru_cache(maxsize=32)
 def _anchor_weights(p):
     """Weights <anchor| Q |j> pairing the recurrence polynomials, where the
     anchor is the first window position: column 0 of E^T E for the
-    band x window Fourier block E."""
+    band x window Fourier block E.  A read-only array, built once per
+    instance."""
     e = band_window_block(p)
-    return e.T @ e[:, 0]
+    return _read_only(e.T @ e[:, 0])
 
 
 def assemble_P(p):

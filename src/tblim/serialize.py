@@ -38,7 +38,18 @@ def _json_float(x):
     return format_float(x) if math.isfinite(x) else "null"
 
 
+def _float_array(a):
+    """A nonempty float array as nested JSON lists: every entry formatted in
+    one pass, then grouped innermost axis first."""
+    items = list(map(_json_float, a.ravel().tolist()))
+    for width in reversed(a.shape):
+        items = ["[" + ",".join(items[i:i + width]) + "]" for i in range(0, len(items), width)]
+    return items[0]
+
+
 def _emit(obj):
+    if type(obj) is float:
+        return _json_float(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -58,6 +69,8 @@ def _emit(obj):
         items = sorted(obj.items())
         return "{" + ",".join(f'{_emit(str(k))}:{_emit(v)}' for k, v in items) + "}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.size:
+            return _float_array(obj)
         return _emit(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in obj) + "]"
@@ -70,17 +83,23 @@ def canonical_json(obj):
 
 
 def pack_operator(op):
-    """Matrix payload: basis tag, dimension, row-major [re, im] entries."""
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in op.entries]
+    """Matrix payload: basis tag, dimension, row-major [re, im] entries as a
+    (dim, dim, 2) float array."""
+    rows = np.stack((op.entries.real, op.entries.imag), axis=-1)
     return {"basis": op.basis.value, "dim": op.dim, "hermitian": op.hermitian, "rows": rows}
 
 
 def unpack_operator(payload):
+    """Inverse of ``pack_operator`` on a payload read back from JSON, where
+    ``rows`` is nested lists; a JSON null reads as NaN."""
     dim = int(payload["dim"])
-    rows = payload["rows"]
-    m = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    if m.shape != (dim, dim):
-        raise DomainError(f"matrix payload claims dim {dim} but has shape {m.shape}")
+    pairs = np.asarray(payload["rows"], dtype=float)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise DomainError(f"matrix payload entries are not [re, im] pairs (shape {pairs.shape})")
+    if pairs.shape[:2] != (dim, dim):
+        raise DomainError(f"matrix payload claims dim {dim} but has shape {pairs.shape[:2]}")
+    m = np.empty((dim, dim), dtype=complex)
+    m.real, m.imag = pairs[..., 0], pairs[..., 1]
     return DenseOperator(m, BasisKind(payload["basis"]), hermitian=bool(payload["hermitian"]))
 
 

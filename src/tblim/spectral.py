@@ -1,19 +1,20 @@
 """Eigendecomposition backbone: the joint spectrum of the Heun and time-band
-operators, a hand-rolled symmetric tridiagonal QL solver, a dense Hermitian
-solver, and the singular value decomposition of the band x window block of
-the Fourier matrix.
+operators, a symmetric tridiagonal solver by Sturm-count bisection and
+inverse iteration, a dense Hermitian solver, and the singular value
+decomposition of the band x window block of the Fourier matrix.
 
 The joint spectrum diagonalizes the window block of the Heun operator with
 LAPACK and reads each concentration off the band x window Fourier block; the
 SVD factors that same block, so no n x n matrix is formed on either route.
-The implicit-shift QL iteration and the dense solver are kept as independent
-oracles that the tests and the verification suite compare the production
-route against.
+The bisection solver, which calls no LAPACK eigensolver, and the dense
+solver are kept as independent oracles that the tests and the verification
+suite compare the production route against.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,6 @@ __all__ = [
     "joint_spectrum",
     "top_block_dim",
 ]
-
-_QL_MAX_SWEEPS = 50  # per eigenvalue; total is bounded by 50 * dim
 
 log = logging.getLogger("tblim")
 
@@ -93,99 +92,156 @@ class JointMode:
     residual: float
 
 
-def _ql_implicit(diag, off, rotate=None):
-    """Implicit-shift QL sweep on a symmetric tridiagonal matrix.
+# intervals per bracket and bisection step (8: three bits per step)
+_SECTIONS = 8
+# solves per eigenvector: with eigenvalues exact to the unit roundoff the
+# first one converges from a random start and the second polishes
+_INVERSE_ITERATIONS = 2
+# eigenvalues closer than this fraction of the block's 1-norm share a cluster
+# whose inverse-iteration vectors are re-orthogonalized (dstein's ORTOL)
+_CLUSTER_GAP = 1e-3
 
-    ``rotate(i, c, s)`` is called for every Givens rotation applied to the
-    (i, i+1) plane, letting the caller accumulate eigenvectors.  Returns the
-    eigenvalues unsorted on the mutated diagonal.
+
+def _bisect_block(d, e):
+    """Every eigenvalue of one unreduced symmetric tridiagonal block,
+    ascending, by bisection on Sturm counts (Barth, Martin & Wilkinson 1967;
+    LAPACK dstebz).
+
+    The count of eigenvalues below x is the number of negative pivots of
+    T - x I = L D L^T, read off the sign bits.  The squared couplings are
+    floored at dstebz's ``pivmin`` (the smallest normal number times
+    max(1, max e_j^2)), so that e_j^2 / pivot is never 0/0: a zero pivot
+    then divides to an infinity, and IEEE arithmetic carries on with the
+    count of a matrix perturbed by less than pivmin, as LAPACK's dlaneg
+    relies on, without a test per pivot.  Eigenvalue i is bracketed by
+    [lo_i, hi_i] with count(lo_i) <= i < count(hi_i), starting from the
+    Gershgorin interval.  All brackets shrink together, each step counting
+    at _SECTIONS - 1 interior points of every bracket (plain bisection when
+    _SECTIONS is 2), for as many steps as take the Gershgorin width down to
+    the unit roundoff times the block's norm.
     """
-    d = np.asarray(diag, dtype=float).copy()
-    n = d.size
-    e = np.zeros(n)
-    e[: n - 1] = off
-    scale = max(np.max(np.abs(d)) if n else 0.0, np.max(np.abs(e)) if n else 0.0, 1.0)
+    k = d.size
     eps = np.finfo(float).eps
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = l
-            while m < n - 1:
-                # split when zeroing e[m] is a backward perturbation at
-                # machine level, relative to the local diagonal or the norm
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * (dd + scale):
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > _QL_MAX_SWEEPS:
-                raise ConvergenceError(
-                    f"QL iteration exceeded {_QL_MAX_SWEEPS} sweeps on block "
-                    f"[{l}, {m}] of size {n}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p_acc = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p_acc
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p_acc
-                r = (d[i] - g) * s + 2.0 * c * b
-                p_acc = s * r
-                d[i + 1] = g + p_acc
-                g = c * r - b
-                if rotate is not None:
-                    rotate(i, c, s)
-            if underflow:
-                continue
-            d[l] -= p_acc
-            e[l] = g
-            e[m] = 0.0
-    return d
+    e2 = e * e
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2)))
+    e2 = np.maximum(e2, pivmin)
+    radius = np.zeros(k)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    gl, gu = float(np.min(d - radius)), float(np.max(d + radius))
+    bnorm = max(abs(gl), abs(gu))
+    pad = 2.0 * eps * bnorm * k + 2.0 * pivmin
+    lo, hi = np.full(k, gl - pad), np.full(k, gu + pad)
+    steps = math.ceil(math.log((gu - gl + 2.0 * pad) / (eps * bnorm + pivmin), _SECTIONS))
+    frac = np.arange(_SECTIONS + 1) / _SECTIONS
+    index = np.arange(k)
+    ratio = np.empty((k, _SECTIONS - 1))
+    for _ in range(steps):
+        points = lo[:, None] + (hi - lo)[:, None] * frac
+        # row j of ``pivots`` turns from d_j - x into the j-th pivot
+        pivots = d[:, None, None] - points[:, 1:-1]
+        with np.errstate(divide="ignore"):
+            for j in range(1, k):
+                np.divide(e2[j - 1], pivots[j - 1], out=ratio)
+                np.subtract(pivots[j], ratio, out=pivots[j])
+        count = np.count_nonzero(np.signbit(pivots), axis=0)
+        below = np.sum(count <= index[:, None], axis=1)
+        lo, hi = points[index, below], points[index, below + 1]
+    return 0.5 * (lo + hi)
+
+
+def _inverse_iteration(d, e, values):
+    """Unit eigenvectors of one unreduced block for its ascending eigenvalues
+    ``values``, by inverse iteration vectorized over the shifts (LAPACK
+    dstein).
+
+    T - lambda_i I is factored once per shift by Gaussian elimination with
+    partial pivoting (LAPACK dgttrf): row i is swapped with row i+1 where
+    the coupling e_i beats the pivot, leaving the upper triangle (u0, u1,
+    u2) and the multipliers ``low``; a pivot below eps times the block's
+    1-norm is raised to that size.  Shifts that coincide to rounding are
+    pushed apart so that each solve sees its own matrix, and after every
+    solve the vectors of a cluster (consecutive eigenvalues closer than
+    _CLUSTER_GAP times the 1-norm) are re-orthogonalized in order.
+    """
+    k = d.size
+    eps = np.finfo(float).eps
+    ae = np.abs(e)
+    onenrm = float(np.max(np.abs(d) + np.append(ae, 0.0) + np.append(0.0, ae)))
+    # shifts_i = max(values_i, shifts_{i-1} + pert), as a running maximum
+    pert = 10.0 * eps * onenrm * np.arange(k)
+    shifts = pert + np.maximum.accumulate(values - pert)
+
+    u0 = d[:, None] - shifts
+    u1 = np.repeat(e[:, None], k, axis=1)
+    u2 = np.zeros((k - 2, k))
+    low = np.empty((k - 1, k))
+    swap = np.empty((k - 1, k), dtype=bool)
+    for i in range(k - 1):
+        s = swap[i] = ae[i] > np.abs(u0[i])
+        piv = np.where(s, e[i], u0[i])
+        low[i] = np.where(s, u0[i], e[i]) / piv
+        head, tail = np.where(s, u0[i + 1], u1[i]), np.where(s, u1[i], u0[i + 1])
+        u0[i], u1[i], u0[i + 1] = piv, head, tail - low[i] * head
+        if i < k - 2:
+            u2[i] = s * e[i + 1]
+            u1[i + 1] = np.where(s, -low[i], 1.0) * e[i + 1]
+    u0 = np.copysign(np.maximum(np.abs(u0), eps * onenrm), u0)
+
+    gaps = np.diff(values) >= _CLUSTER_GAP * onenrm
+    clusters = [c for c in np.split(np.arange(k), np.flatnonzero(gaps) + 1) if c.size > 1]
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, (k, k))
+    for _ in range(_INVERSE_ITERATIONS):
+        b = x / np.max(np.abs(x), axis=0)
+        for i in range(k - 1):
+            head, tail = np.where(swap[i], b[i + 1], b[i]), np.where(swap[i], b[i], b[i + 1])
+            b[i], b[i + 1] = head, tail - low[i] * head
+        x[k - 1] = b[k - 1] / u0[k - 1]
+        x[k - 2] = (b[k - 2] - u1[k - 2] * x[k - 1]) / u0[k - 2]
+        for i in range(k - 3, -1, -1):
+            x[i] = (b[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
+        x /= np.linalg.norm(x, axis=0)
+        for c in clusters:
+            q, r = np.linalg.qr(x[:, c])
+            x[:, c] = q * np.copysign(1.0, np.diag(r))
+    if not np.all(np.isfinite(x)):
+        raise ConvergenceError(f"inverse iteration overflowed on a block of size {k}")
+    return x
 
 
 def eig_sym_tridiag(t):
-    """Full spectrum of a symmetric tridiagonal operator by implicit-shift QL.
+    """Full spectrum of a symmetric tridiagonal operator by bisection on
+    Sturm counts and inverse iteration.
 
-    Eigenvalues come back ascending with orthonormal eigenvectors.  If the
-    input is unreduced (every off-diagonal nonzero) its eigenvalues are
-    mathematically simple; that simplicity is asserted and a degenerate
-    numerical spectrum raises.
+    The matrix is split at couplings that are exactly zero (the Heun operator
+    always splits at the window edge); each unreduced block gets its
+    eigenvalues by bisection (``_bisect_block``) and its eigenvectors by
+    inverse iteration (``_inverse_iteration``), so no LAPACK eigensolver is
+    involved and the dense solver stays an independent oracle.  Eigenvalues
+    come back ascending with orthonormal eigenvectors and residuals
+    ||T v - lambda v||.  If the input is unreduced (every off-diagonal
+    nonzero) its eigenvalues are mathematically simple; that simplicity is
+    asserted and a degenerate numerical spectrum raises.
     """
     if not isinstance(t, TridiagonalOperator):
         raise DomainError("expected a TridiagonalOperator")
     n = t.dim
-    if n == 0:
-        return Spectrum(np.zeros(0), np.zeros((0, 0)), np.zeros(0), t.basis)
-    z = np.eye(n)
-
-    def rotate(i, c, s):
-        zi = z[:, i].copy()
-        z[:, i] = c * zi - s * z[:, i + 1]
-        z[:, i + 1] = s * zi + c * z[:, i + 1]
-
-    d = _ql_implicit(t.diag, t.offdiag, rotate)
-    order = np.argsort(d, kind="stable")
-    values = d[order]
-    vectors = z[:, order]
-    residuals = np.array(
-        [float(np.linalg.norm(t.apply(vectors[:, i]) - values[i] * vectors[:, i])) for i in range(n)]
-    )
-    _check_simple(t, values)
+    d, off = t.diag, t.offdiag
+    values = d.copy()
+    vectors = np.eye(n)
+    bounds = np.concatenate(([0], np.flatnonzero(off == 0.0) + 1, [n]))
+    blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo > 1]
+    for lo, hi in blocks:
+        values[lo:hi] = _bisect_block(d[lo:hi], off[lo:hi - 1])
+    order = np.argsort(values, kind="stable")
+    _check_simple(t, values[order])
+    for lo, hi in blocks:
+        vectors[lo:hi, lo:hi] = _inverse_iteration(d[lo:hi], off[lo:hi - 1], values[lo:hi])
+    values, vectors = values[order], vectors[:, order]
+    tv = d[:, None] * vectors
+    tv[:-1] += off[:, None] * vectors[1:]
+    tv[1:] += off[:, None] * vectors[:-1]
+    residuals = np.linalg.norm(tv - vectors * values, axis=0)
     return Spectrum(values, vectors, residuals, t.basis)
 
 

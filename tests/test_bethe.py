@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tblim.bethe import (
@@ -10,6 +10,7 @@ from tblim.bethe import (
     bethe_residuals,
     bethe_slots,
     bethe_state,
+    _pair_matrices,
     canonicalize_roots,
     check_dynamical_relations,
     check_offshell_action,
@@ -25,7 +26,7 @@ from tblim.bethe import (
 )
 from tblim.core_model import ModelParams, Parity, trig_c, trig_s
 from tblim.errors import DomainError, PoleError
-from tblim.operators import projector_time
+from tblim.operators import leonard_pair, projector_time
 from tblim.spectral import joint_spectrum
 
 
@@ -256,12 +257,35 @@ class TestEquationsAndEigenvalue:
             bethe_eigenvalue(p, AnsatzVariant.MINUS_FIRST, np.array([0.5, 1.5]), 0.0)
 
 
+class TestPairMatrices:
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_equal_to_dense_products(self, parity):
+        # np.array_equal: a zero entry may carry either sign, as a dense sum
+        # of zero products does
+        for n in range(2, 41):
+            p = make(n, 1, 1, parity)
+            a, astar = leonard_pair(p)
+            am, sm = a.to_dense().entries, astar.to_dense().entries
+            got = _pair_matrices(p)
+            assert np.array_equal(got[0], am) and np.array_equal(got[1], sm)
+            assert np.array_equal(got[2], am @ sm + sm @ am)
+            assert np.array_equal(got[3], am @ sm - sm @ am)
+
+    def test_read_only_and_built_once(self):
+        p = make(9, 2, 3, Parity.MINUS)
+        first = _pair_matrices(p)
+        assert all(not m.flags.writeable for m in first)
+        assert all(x is y for x, y in zip(first, _pair_matrices(p)))
+
+
 class TestCanonicalization:
     @settings(deadline=None, max_examples=60)
     @given(
         re=st.floats(-30, 30),
         im=st.floats(-5, 5),
     )
+    @example(re=-1e-12, im=1.0)
+    @example(re=6.0000000000015, im=1.0)
     def test_fold_into_strip_and_idempotent(self, re, im):
         p = make(6, 2, 3, Parity.MINUS)
         out = canonicalize_roots(p, np.array([complex(re, im)]))

@@ -43,6 +43,19 @@ class TestBuild:
         assert np.max(np.abs(q.entries - want.entries)) == 0.0
 
 
+    @pytest.mark.parametrize("parity,digest", [
+        ("plus", "38cdad00b79af3e8be6e7badb0acb45f5a8a09f9143181b7d2fa5d19e0c6e480"),
+        ("minus", "96b55bc118452ff4a0e7cc90ad17f59acea0d2d5bb822b900ab773e53590dc0e"),
+    ])
+    def test_bytes_frozen_at_n48(self, tmp_path, parity, digest):
+        import hashlib
+
+        out = tmp_path / "ops.json"
+        assert main(["build", "--n", "48", "--K", "16", "--L", "20", "--parity", parity,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestSpectrum:
     def test_csv_shape_and_order(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "6", "--K", "2", "--L", "3",
@@ -146,6 +159,28 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
         assert checks["stored_Q"]["residual"] is None
         assert not checks["stored_Q"]["passed"]
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: rows[2].pop(),                       # ragged rows
+        lambda rows: rows[1][1].pop(),                    # an entry that is not a pair
+        lambda rows: rows.pop(),                          # fewer rows than dim
+        lambda rows: rows[0].__setitem__(0, ["x", 0.0]),  # not a number
+    ])
+    def test_malformed_payload_fails_with_note(self, capsys, tmp_path, corrupt):
+        ops = tmp_path / "ops.json"
+        main(["build", "--n", "6", "--K", "2", "--L", "3", "--parity", "minus", "--out", str(ops)])
+        doc = json.loads(ops.read_text())
+        corrupt(doc["operators"]["pi2"]["rows"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "v.json"
+        code, out, _ = run(capsys, "verify", "--n", "6", "--K", "2", "--L", "3",
+                           "--parity", "minus", "--operators", str(bad), "--out", str(report))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+        assert not checks["stored_pi2"]["passed"] and checks["stored_pi2"]["note"]
+        assert "FAIL stored_pi2" in out
+        assert all(c["passed"] for name, c in checks.items() if name != "stored_pi2")
 
     def test_unreadable_operator_file(self, capsys, tmp_path):
         bad = tmp_path / "nope.json"

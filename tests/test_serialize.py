@@ -44,6 +44,20 @@ class TestOperatorPayload:
         assert back.basis is op.basis
         assert np.array_equal(back.entries, op.entries)
 
+    def test_round_trip_keeps_inf_and_signed_zero(self):
+        m = np.array([[complex(1.0, np.inf), complex(-0.0, 2.0)],
+                      [complex(-np.inf, -0.0), complex(0.0, -np.inf)]])
+        back = unpack_operator(pack_operator(DenseOperator(m, BasisKind.POSITION_PLUS)))
+        assert back.entries.tobytes() == m.tobytes()
+        assert not np.isnan(back.entries.imag).any()
+
+    def test_payload_rows_are_a_float_array(self):
+        op = tb_operator(ModelParams(6, 2, 3, Parity.PLUS))
+        rows = pack_operator(op)["rows"]
+        assert rows.shape == (op.dim, op.dim, 2) and rows.dtype == float
+        text = canonical_json({"rows": rows})
+        assert text == canonical_json({"rows": rows.tolist()})
+
     def test_dimension_mismatch_detected(self):
         op = DenseOperator(np.eye(2), BasisKind.POSITION_PLUS)
         payload = pack_operator(op)

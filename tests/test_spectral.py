@@ -66,6 +66,78 @@ class TestTridiagonalSolver:
         assert spec.values[0] == 3.0
 
 
+def tridiag(d, e):
+    return TridiagonalOperator(np.asarray(d, dtype=float), np.asarray(e, dtype=float), POS)
+
+
+def dense_of(t):
+    return np.diag(t.diag) + np.diag(t.offdiag, 1) + np.diag(t.offdiag, -1)
+
+
+class TestBisectionSolver:
+    """The Sturm-bisection solver against LAPACK's eigvalsh, to 1e-12 of the
+    largest eigenvalue magnitude, with orthonormal vectors and small
+    residuals."""
+
+    def assert_matches_eigvalsh(self, t):
+        spec = eig_sym_tridiag(t)
+        ref = np.linalg.eigvalsh(dense_of(t))
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert mx(spec.values - ref) < 1e-12 * scale
+        assert mx(spec.vectors.T @ spec.vectors - np.eye(t.dim)) < 1e-12
+        assert spec.residuals.max() < 1e-12 * scale
+        resid = dense_of(t) @ spec.vectors - spec.vectors * spec.values
+        assert mx(np.linalg.norm(resid, axis=0) - spec.residuals) < 1e-14 * scale
+        return spec
+
+    def test_random_200(self):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            self.assert_matches_eigvalsh(tridiag(rng.normal(size=200), rng.normal(size=199)))
+
+    def test_graded_couplings(self):
+        rng = np.random.default_rng(12)
+        e = np.logspace(-8, 0, 149) * rng.choice([-1.0, 1.0], 149)
+        self.assert_matches_eigvalsh(tridiag(rng.normal(size=150), e))
+        self.assert_matches_eigvalsh(tridiag(np.zeros(150), e[::-1]))
+
+    def test_wilkinson_top_pair_is_degenerate(self):
+        # W21+: the top two eigenvalues agree to 7e-14 although the matrix is
+        # unreduced, so the simplicity check rejects the spectrum
+        w = tridiag(np.abs(np.arange(-10, 11)), np.ones(20))
+        with pytest.raises(DegeneracyError):
+            eig_sym_tridiag(w)
+
+    def test_exact_zero_couplings_give_block_diagonal_vectors(self):
+        rng = np.random.default_rng(13)
+        e = rng.normal(size=39)
+        cuts = [4, 5, 17, 30]
+        e[cuts] = 0.0
+        spec = self.assert_matches_eigvalsh(tridiag(rng.normal(size=40), e))
+        starts = [0] + [c + 1 for c in cuts] + [40]
+        block_of = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        for i in range(40):
+            support = np.flatnonzero(spec.vectors[:, i])
+            assert np.unique(block_of[support]).size == 1
+
+    def test_sizes_zero_and_one(self):
+        spec = eig_sym_tridiag(tridiag([], []))
+        assert spec.values.shape == (0,) and spec.vectors.shape == (0, 0)
+        spec = eig_sym_tridiag(tridiag([-2.5], []))
+        assert spec.values.tolist() == [-2.5]
+        assert spec.vectors.tolist() == [[1.0]]
+        assert spec.residuals.tolist() == [0.0]
+
+    def test_calls_no_lapack_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eig_sym_tridiag called a LAPACK eigensolver")
+
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        spec = eig_sym_tridiag(heun_tb(make(96, 24, 8, Parity.PLUS)))
+        assert len(spec) == 97 and spec.residuals.max() < 1e-12
+
+
 class TestDenseSolver:
     def test_identity(self):
         spec = eig_sym_dense(DenseOperator(np.eye(4), POS, hermitian=True))
