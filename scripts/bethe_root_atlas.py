@@ -13,7 +13,7 @@ Usage:
 import argparse
 import sys
 
-from tblim.bethe import AnsatzVariant, SolverConfig, solve_bethe
+from tblim.bethe import AnsatzVariant, solve_bethe
 from tblim.core_model import ModelParams
 
 
@@ -22,11 +22,9 @@ def main():
     ap.add_argument("--n", type=int, default=8)
     ap.add_argument("--ansatz", choices=["first", "second", "plus"], default="first")
     ap.add_argument("--max-dim", type=int, default=5, help="largest window block to solve")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     variant = AnsatzVariant(args.ansatz)
-    cfg = SolverConfig(rng_seed=args.seed)
     n = args.n
     l_range = range(0, n) if variant is AnsatzVariant.PLUS else range(1, n)
     print("K,L,ell,t,residual,u_spread,roots")
@@ -36,7 +34,7 @@ def main():
             p = ModelParams(n, K, L, variant.parity)
             if p.time_rank == 0 or p.time_rank > args.max_dim:
                 continue
-            result = solve_bethe(p, variant, cfg)
+            result = solve_bethe(p, variant)
             if not result.complete:
                 incomplete += 1
                 print(f"# UNDER-RESOLVED K={K} L={L}: missing levels {result.missing_levels}",

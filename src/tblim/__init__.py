@@ -11,7 +11,6 @@ from .bethe import (
     AnsatzVariant,
     BetheRootSet,
     BetheSolveResult,
-    SolverConfig,
     bethe_eigenvalue,
     bethe_residuals,
     bethe_state,

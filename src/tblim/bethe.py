@@ -12,12 +12,15 @@ implemented:
 * ``PLUS``          - symmetric subspace, inhomogeneous equations,
                       L roots for the L+1 window modes.
 
-Roots live in grid units.  The equations are solved numerically: residuals
-are evaluated in cleared-denominator form (normalized by the magnitude of the
-cleared sides so the defect stays meaningful for roots with large imaginary
-part), and a damped Newton iteration is run from eigenvector-guided seeds
-first, then from random and homotopy-continued starts.  A candidate root set
-is accepted only if its eigenvalue formula is independent of the spectral
+Roots live in grid units.  Each window eigenvector is a Bethe state, and the
+scaled state is a fixed linear combination of the elementary symmetric
+polynomials of w = cos(pi*x/n) over the roots; so one linear solve per level
+gives those polynomials, and the roots follow in closed form as the zeros of
+one polynomial in w.  A damped Newton iteration polishes each such seed on
+the Bethe equations, whose residuals are evaluated in cleared-denominator
+form (normalized by the magnitude of the cleared sides so the defect stays
+meaningful for roots with large imaginary part).  A candidate root set is
+accepted only if its eigenvalue formula is independent of the spectral
 parameter and matches a still-unmatched window eigenvalue.
 """
 
@@ -43,7 +46,6 @@ from .spectral import joint_spectrum
 
 __all__ = [
     "AnsatzVariant",
-    "SolverConfig",
     "BetheRootSet",
     "BetheSolveResult",
     "delta_fn",
@@ -66,6 +68,8 @@ __all__ = [
 
 _POLE_TOL = 1e-12
 _EXCLUSION = 1e-6
+_NEWTON_MAX_ITER = 200
+_MATCH_TOL = 1e-6
 
 
 class AnsatzVariant(enum.Enum):
@@ -79,21 +83,6 @@ class AnsatzVariant(enum.Enum):
 
     def root_count(self, L):
         return L if self is AnsatzVariant.PLUS else L - 1
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tuning knobs of the numerical Bethe solver.
-
-    ``max_starts=None`` means 64 times the window-block dimension.
-    """
-
-    max_starts: int | None = None
-    newton_max_iter: int = 200
-    residual_tol: float = 1e-9
-    match_tol: float = 1e-6
-    rng_seed: int = 0
-    homotopy_steps: int = 8
 
 
 @dataclass
@@ -412,15 +401,13 @@ def check_reduction_formula(p, ybar, u_slot_last=True):
 # Bethe equations and eigenvalue formulas
 
 
-def bethe_residuals(p, variant, roots, inhomog_scale=1.0):
+def bethe_residuals(p, variant, roots):
     """Cleared-denominator defects of the Bethe equations, one per root.
 
     Every displayed denominator is multiplied through, so no pole is
     amplified; each component is then normalized by the magnitude of the
     cleared sides, keeping the defect comparable across root scales.  The
     zero vector is returned exactly when the roots solve the system.
-    ``inhomog_scale`` multiplies the inhomogeneous term (used for homotopy
-    continuation; 1 is the true system).
     """
     roots = _check_roots(variant, p.L, roots)
     s = lambda x: trig_s(p, x)
@@ -443,7 +430,7 @@ def bethe_residuals(p, variant, roots, inhomog_scale=1.0):
             den = np.prod([s(x - yi - 1) * s(x + yi - 1) for yi in others])
             inh = s(2 * p.L + 1) ** 2 * s(2 * x * (p.L + 1)) * s(2 * x - 1)
             ipr = np.prod([4 * s(yi - x + 1) * s(yi + x - 1) for yi in roots])
-            lhs = g1 * den * ipr + inhomog_scale * inh * den
+            lhs = g1 * den * ipr + inh * den
             rhs = num * g2 * ipr
         else:
             g1 = dl(1 - x) * s(2 * x - 1)
@@ -452,7 +439,7 @@ def bethe_residuals(p, variant, roots, inhomog_scale=1.0):
             den = np.prod([s(x - zi - 1) * s(x + zi - 1) for zi in others])
             inh = s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * x * (p.L + 1)) * s(2 * x - 1)
             ipr = np.prod([4 * s(zi - x + 1) * s(zi + x - 1) for zi in roots])
-            lhs = c(2 * p.L + 1) * g1 * den * ipr + inhomog_scale * inh * den
+            lhs = c(2 * p.L + 1) * g1 * den * ipr + inh * den
             rhs = c(2 * p.L + 1) * num * g2 * ipr
         out[j] = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return out
@@ -630,73 +617,69 @@ def _B_linear_parts(p, variant, L):
     return parts
 
 
-def _guided_seed(p, variant, target_vec, rng, newton_max_iter, tries=40):
-    """Invert a window eigenvector into candidate roots.
+def _state_basis(p, variant):
+    """Columns V_0..V_m of the scaled Bethe state, cut to m + 1 window rows.
 
-    The scaled Bethe state is multilinear in w_i = cos(pi*x_i/n); solving the
-    proportionality conditions against the target eigenvector by Newton in w
-    and taking arccos yields root seeds aimed at one specific level.
+    Each scaled factor is M0 + w M1 with w = cos(pi*x/n), and the exchange
+    relation makes the product symmetric in the roots, so the scaled state is
+    sum_k e_k(w) V_k with e_k the elementary symmetric polynomials of the w's.
+    V_k is the product with M1 in the first k slots and M0 in the rest,
+    applied to the vacuum.
     """
-    m = variant.root_count(p.L)
-    dim = m + 1
     parts = _B_linear_parts(p, variant, p.L)
-    vac = _vacuum(p)
-    vt = target_vec[:dim]
-    i0 = int(np.argmax(np.abs(vt)))
-    rows = [i for i in range(dim) if i != i0]
-
-    def state(ws):
-        v = vac
-        for w, (m0, m1) in zip(ws[::-1], parts[::-1]):
-            v = (m0 + w * m1) @ v
-        return v[:dim]
-
-    def fun(ws):
-        sv = state(ws)
-        return np.array([sv[i] * vt[i0] - sv[i0] * vt[i] for i in rows])
-
-    for _ in range(tries):
-        w0 = rng.normal(0.0, 1.2, m) + 1j * rng.normal(0.0, 0.8, m)
-        ws, ok = _newton(fun, w0, newton_max_iter)
-        if ok:
-            return p.n / np.pi * np.arccos(ws.astype(complex))
-    return None
+    m = len(parts)
+    cols = []
+    for k in range(m + 1):
+        v = _vacuum(p)
+        for i in reversed(range(m)):
+            v = parts[i][1 if i < k else 0] @ v
+        cols.append(v[: m + 1])
+    return np.column_stack(cols)
 
 
-def _random_seed(p, m, rng, kind):
-    if kind == 0:      # perturbed real grid points
-        return rng.uniform(0.1, p.n - 0.1, m) + 1j * rng.normal(0.0, 0.02, m)
-    if kind == 1:      # complex box
-        return rng.uniform(0.05, p.n - 0.05, m) + 1j * rng.uniform(-1.0, 1.0, m)
-    # axis strings: purely imaginary or shifted to the Re = n line
-    re = rng.choice([0.0, float(p.n)], m)
-    return re + 1j * rng.uniform(0.2, 2.0 * p.n / 3.0, m)
+def _closed_form_seed(p, basis, target):
+    """Roots whose scaled Bethe state is proportional to ``target``.
+
+    Solving V c = v gives e_k = c_k / c_0; the w's are the zeros of
+    sum_k (-1)^k e_k z^(m-k) and x = (n/pi) arccos w.  Returns None when V
+    is singular or c_0 vanishes.
+    """
+    m = basis.shape[1] - 1
+    try:
+        c = np.linalg.solve(basis, target[: m + 1])
+    except np.linalg.LinAlgError:
+        return None
+    if c[0] == 0 or not np.all(np.isfinite(c)):
+        return None
+    w = np.roots(c / c[0] * (-1.0) ** np.arange(m + 1))
+    return p.n / np.pi * np.arccos(w.astype(complex))
 
 
-def solve_bethe(p, variant, config=None):
+def solve_bethe(p, variant, residual_tol=1e-9):
     """Solve the Bethe equations and match every window eigenvalue.
 
-    Seeding runs eigenvector-guided inversions per level first, then random
-    starts (perturbed grid, complex box, axis strings) and, for the
-    inhomogeneous variants, homotopy continuation in the inhomogeneous term.
-    A candidate is accepted when its cleared residual is below
+    Each window eigenvector gives one seed in closed form
+    (``_closed_form_seed``), which Newton polishes on the cleared equations.
+    A candidate is accepted when its cleared residual is at most
     ``residual_tol``, its eigenvalue is u-independent, and it matches an
-    unmatched window eigenvalue within ``match_tol``.  Unmatched levels are
-    reported explicitly in the result.
+    unmatched window eigenvalue within 1e-6.  A level whose seed fails
+    (singular V, vanishing c_0, Newton or a check rejects it) is reported in
+    ``missing_levels``; the solve is deterministic.
     """
-    config = config or SolverConfig()
     if variant.parity is not p.parity:
         raise DomainError(f"{variant.value} ansatz requires parity {variant.parity.value}")
     if variant is not AnsatzVariant.PLUS and p.L < 1:
         raise DomainError("antisymmetric ansaetze need L >= 1")
+    m = variant.root_count(p.L)
+    if m + 1 > p.time_rank:
+        raise DomainError(
+            f"{variant.value} ansatz at L={p.L} needs {m + 1} window components for "
+            f"{m} roots, but the window rank is {p.time_rank}"
+        )
     modes = joint_spectrum(p)
     dim = len(modes)
-    m = variant.root_count(p.L)
-    max_starts = config.max_starts if config.max_starts is not None else 64 * max(dim, 1)
-    rng = np.random.default_rng(config.rng_seed)
     matched = {}
     extra = 0
-    starts = 0
 
     t_targets = np.array([mode.t for mode in modes])
 
@@ -706,7 +689,7 @@ def solve_bethe(p, variant, config=None):
         if not _roots_admissible(p, roots):
             return
         res = float(np.max(np.abs(bethe_residuals(p, variant, roots)))) if m else 0.0
-        if res > config.residual_tol:
+        if res > residual_tol:
             return
         try:
             t_mean, spread = _eigenvalue_profile(p, variant, roots)
@@ -714,10 +697,8 @@ def solve_bethe(p, variant, config=None):
             return
         if spread > 1e-8:
             return
-        if not dim:
-            return
         k = int(np.argmin(np.abs(t_targets - t_mean)))
-        if abs(t_targets[k] - t_mean) > config.match_tol:
+        if abs(t_targets[k] - t_mean) > _MATCH_TOL:
             return
         if k in matched:
             if np.max(np.abs(matched[k].roots - roots)) > 1e-6:
@@ -729,54 +710,22 @@ def solve_bethe(p, variant, config=None):
             t_spectral=float(t_targets[k]), u_spread=spread,
         )
 
+    seeds = 0
     if m == 0:
-        if dim:
-            consider(np.zeros(0, dtype=complex))
-        missing = [k for k in range(dim) if k not in matched]
-        return BetheSolveResult(variant, [matched[k] for k in sorted(matched)], missing, extra, 0)
-
-    system = lambda x: bethe_residuals(p, variant, x)
-
-    # strategy 1: eigenvector-guided, one pass per window level
-    for k in range(dim):
-        if len(matched) == dim or starts >= max_starts:
-            break
-        if k in matched:
-            continue
-        seed = _guided_seed(p, variant, modes[k].vector.coeffs, rng, config.newton_max_iter)
-        starts += 1
-        if seed is None:
-            continue
-        roots, ok = _newton(system, seed, config.newton_max_iter)
-        if ok:
-            consider(roots)
-
-    # strategy 2: random multi-start with homotopy every fourth start
-    inhomogeneous = variant is not AnsatzVariant.MINUS_FIRST
-    kind = 0
-    while len(matched) < dim and starts < max_starts:
-        starts += 1
-        x0 = _random_seed(p, m, rng, kind % 3)
-        kind += 1
-        if inhomogeneous and kind % 4 == 0:
-            x, ok = _newton(lambda z: bethe_residuals(p, variant, z, inhomog_scale=0.0),
-                            x0, config.newton_max_iter)
-            if not ok:
+        consider(np.zeros(0, dtype=complex))
+    else:
+        basis = _state_basis(p, variant)
+        system = lambda x: bethe_residuals(p, variant, x)
+        for k, mode in enumerate(modes):
+            if k in matched:
                 continue
-            for step in range(1, config.homotopy_steps + 1):
-                scale = step / config.homotopy_steps
-                x, ok = _newton(lambda z, s=scale: bethe_residuals(p, variant, z, inhomog_scale=s),
-                                x, config.newton_max_iter)
-                if not ok:
-                    break
-            if not ok:
+            seed = _closed_form_seed(p, basis, mode.vector.coeffs)
+            seeds += 1
+            if seed is None:
                 continue
-            roots = x
-        else:
-            roots, ok = _newton(system, x0, config.newton_max_iter)
-            if not ok:
-                continue
-        consider(roots)
+            roots, ok = _newton(system, seed, _NEWTON_MAX_ITER)
+            if ok:
+                consider(roots)
 
     missing = [k for k in range(dim) if k not in matched]
     return BetheSolveResult(
@@ -784,5 +733,5 @@ def solve_bethe(p, variant, config=None):
         [matched[k] for k in sorted(matched)],
         missing,
         extra,
-        starts,
+        seeds,
     )

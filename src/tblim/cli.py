@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import AnsatzVariant, SolverConfig, solve_bethe
+from .bethe import AnsatzVariant, solve_bethe
 from .core_model import ModelParams, Parity
 from .errors import SupportError, TblimError
 from .operators import heun_tb, heun_tb_momentum, leonard_pair, projector_band, projector_time, tb_operator
@@ -198,9 +198,8 @@ def cmd_bethe(cfg):
     p = cfg.params(variant.parity)
     if cfg.parity is not None and cfg.parity is not variant.parity:
         raise TblimError(f"ansatz {cfg.ansatz!r} lives on parity {variant.parity.value}")
-    config = SolverConfig(rng_seed=cfg.seed) if cfg.tol is None \
-        else SolverConfig(rng_seed=cfg.seed, residual_tol=cfg.tol)
-    result = solve_bethe(p, variant, config)
+    result = solve_bethe(p, variant) if cfg.tol is None \
+        else solve_bethe(p, variant, residual_tol=cfg.tol)
     rows = []
     for rs in result.root_sets:
         roots = ";".join(f"{x.real:.17g}{x.imag:+.17g}j" for x in rs.roots)

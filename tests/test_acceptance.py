@@ -11,7 +11,6 @@ import pytest
 
 from tblim.bethe import (
     AnsatzVariant,
-    SolverConfig,
     check_dynamical_relations,
     check_reduction_formula,
     check_T_decomposition,
@@ -191,7 +190,7 @@ def bethe_sweep():
     results = {}
     for n, K, L, variant in _bethe_sweep_instances():
         p = ModelParams(n, K, L, variant.parity)
-        results[(n, K, L, variant)] = solve_bethe(p, variant, SolverConfig())
+        results[(n, K, L, variant)] = solve_bethe(p, variant)
     return results, time.time() - t0
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from tblim.bethe import (
     AnsatzVariant,
-    SolverConfig,
     bethe_eigenvalue,
     bethe_residuals,
     bethe_slots,
@@ -351,11 +350,44 @@ class TestSolver:
 
     def test_reproducible(self):
         p = make(6, 3, 3, Parity.MINUS)
-        cfg = SolverConfig(rng_seed=42)
-        a = solve_bethe(p, AnsatzVariant.MINUS_SECOND, cfg)
-        b = solve_bethe(p, AnsatzVariant.MINUS_SECOND, cfg)
+        a = solve_bethe(p, AnsatzVariant.MINUS_SECOND)
+        b = solve_bethe(p, AnsatzVariant.MINUS_SECOND)
+        assert len(a.root_sets) == len(b.root_sets) == 3
         for x, y in zip(a.root_sets, b.root_sets):
             assert mx(x.roots - y.roots) == 0.0
+
+    def test_one_seed_per_level(self):
+        p = make(8, 3, 5, Parity.MINUS)
+        res = solve_bethe(p, AnsatzVariant.MINUS_FIRST)
+        assert res.complete and res.starts_used == p.time_rank
+
+    @pytest.mark.parametrize("variant", [AnsatzVariant.MINUS_FIRST, AnsatzVariant.MINUS_SECOND])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_more_roots_than_window_rows_rejected(self, n, variant):
+        # L = n: n - 1 roots need n window components, the window has n - 1
+        for K in range(n + 1):
+            p = make(n, K, n, Parity.MINUS)
+            with pytest.raises(DomainError, match="window rank"):
+                solve_bethe(p, variant)
+
+    @pytest.mark.parametrize("variant", list(AnsatzVariant))
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_every_level_matched_up_to_rank_8(self, n, variant):
+        l_range = range(0, n + 1) if variant is AnsatzVariant.PLUS else range(1, n)
+        missing = []
+        for K in range(n + 1):
+            for L in l_range:
+                p = make(n, K, L, variant.parity)
+                if 0 < p.time_rank <= 8:
+                    res = solve_bethe(p, variant)
+                    if not res.complete:
+                        missing.append((K, L, res.missing_levels))
+        assert not missing
+
+    def test_every_level_matched_at_rank_10(self):
+        p = make(16, 5, 9, Parity.PLUS)
+        res = solve_bethe(p, AnsatzVariant.PLUS)
+        assert res.complete and len(res.root_sets) == 10
 
     def test_parity_mismatch_rejected(self):
         p = make(6, 2, 3, Parity.PLUS)

@@ -228,6 +228,22 @@ class TestBethe:
                          "--ansatz", "second", "--seed", "7")
         assert out1 == out2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_seed_does_not_change_output(self, capsys, fmt):
+        outs = []
+        for seed in ("0", "5"):
+            _, out, _ = run(capsys, "bethe", "--n", "8", "--K", "3", "--L", "5",
+                            "--ansatz", "second", "--format", fmt, "--seed", seed)
+            # the JSON document echoes every CLI setting, --seed included
+            outs.append(out.replace(f'"seed":{seed}', '"seed":_'))
+        assert outs[0] == outs[1]
+
+    def test_full_antisymmetric_window_is_input_error(self, capsys):
+        code, _, err = run(capsys, "bethe", "--n", "3", "--K", "1", "--L", "3",
+                           "--ansatz", "first")
+        assert code == 2
+        assert "window rank" in err
+
 
 class TestReconstruct:
     @staticmethod
