@@ -51,7 +51,7 @@ from .operators import (
     projector_time,
     tb_operator,
 )
-from .polymap import Polynomial, assemble_P, eval_poly_on_operator, recurrence_polys, verify_Q_equals_piP
+from .polymap import verify_Q_equals_piP
 from .recon import (
     ObservedData,
     ReconstructionReport,

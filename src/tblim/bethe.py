@@ -197,6 +197,16 @@ def dyn_D(p, u, m):
     return DenseOperator(mat, position_kind(p.parity))
 
 
+def _B_linear_parts(p, m):
+    """Matrices (M0, M1) with s(2m) B(u, m) = M0 + cos(pi*u/n) M1 for the
+    slot m; the product state is multilinear in the cosines of the roots."""
+    am, sm, anti, comm = _pair_matrices(p)
+    m0 = trig_c(p, 1) * am + trig_s(p, 2 * m) * comm / (4 * trig_s(p, 1)) \
+        - trig_c(p, 2 * m) * anti / (4 * trig_c(p, 1))
+    m1 = -sm + 2 * trig_c(p, 2 * m) * np.eye(p.dim)
+    return m0, m1
+
+
 def _dyn_B_scaled(p, u, m):
     """s(2m) * B(u, m): entire in m, used where a dynamical slot degenerates.
 
@@ -204,15 +214,8 @@ def _dyn_B_scaled(p, u, m):
     is interchangeable with dyn_B wherever only the state's direction
     matters.
     """
-    am, sm, anti, comm = _pair_matrices(p)
-    eye = np.eye(p.dim)
-    return (
-        trig_c(p, 1) * am
-        - trig_c(p, 2 * u) * sm
-        + trig_s(p, 2 * m) * comm / (4 * trig_s(p, 1))
-        - trig_c(p, 2 * m) * anti / (4 * trig_c(p, 1))
-        + 2 * trig_c(p, 2 * u) * trig_c(p, 2 * m) * eye
-    )
+    m0, m1 = _B_linear_parts(p, m)
+    return m0 + trig_c(p, 2 * u) * m1
 
 
 def dyn_B(p, u, m):
@@ -603,20 +606,6 @@ def _eigenvalue_profile(p, variant, roots):
     return float(np.mean(ts.real)), spread
 
 
-def _B_linear_parts(p, variant, L):
-    """Per-slot matrices (M0, M1) with s(2m) B(u, m) = M0 + cos(pi*u/n) M1;
-    the product state is multilinear in the cosines of the roots."""
-    am, sm, anti, comm = _pair_matrices(p)
-    eye = np.eye(p.dim)
-    parts = []
-    for m in bethe_slots(variant, L):
-        m0 = trig_c(p, 1) * am + trig_s(p, 2 * m) * comm / (4 * trig_s(p, 1)) \
-            - trig_c(p, 2 * m) * anti / (4 * trig_c(p, 1))
-        m1 = -sm + 2 * trig_c(p, 2 * m) * eye
-        parts.append((m0, m1))
-    return parts
-
-
 def _state_basis(p, variant):
     """Columns V_0..V_m of the scaled Bethe state, cut to m + 1 window rows.
 
@@ -626,7 +615,7 @@ def _state_basis(p, variant):
     V_k is the product with M1 in the first k slots and M0 in the rest,
     applied to the vacuum.
     """
-    parts = _B_linear_parts(p, variant, p.L)
+    parts = [_B_linear_parts(p, m) for m in bethe_slots(variant, p.L)]
     m = len(parts)
     cols = []
     for k in range(m + 1):

@@ -296,13 +296,16 @@ def build_parser():
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--K", type=int, required=True)
         sp.add_argument("--L", type=int, required=True)
-        sp.add_argument("--parity", choices=["plus", "minus"],
-                        required=name not in ("bethe", "reconstruct"))
-        sp.add_argument("--ansatz", choices=["first", "second", "plus"])
-        sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+        if name != "reconstruct":
+            sp.add_argument("--parity", choices=["plus", "minus"], required=name != "bethe")
+        if name == "bethe":
+            sp.add_argument("--ansatz", choices=["first", "second", "plus"])
+        if name in ("spectrum", "bethe"):
+            sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
+        if name in ("bethe", "reconstruct"):
+            sp.add_argument("--tol", type=float, default=None)
         if name == "spectrum":
             sp.add_argument("--sweep", default=None, help="K=a..b or L=a..b")
         if name == "verify":
@@ -314,19 +317,20 @@ def build_parser():
 
 def main(argv=None):
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    parity = args.get("parity")
     cfg = RunConfig(
-        command=args.command,
-        n=args.n, K=args.K, L=args.L,
-        parity=Parity(args.parity) if args.parity else None,
-        ansatz=args.ansatz,
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        tol=args.tol,
-        signal=getattr(args, "signal", None),
-        operators=getattr(args, "operators", None),
-        sweep=getattr(args, "sweep", None),
+        command=args["command"],
+        n=args["n"], K=args["K"], L=args["L"],
+        parity=Parity(parity) if parity else None,
+        ansatz=args.get("ansatz"),
+        fmt=args.get("fmt", "json"),
+        out=args["out"],
+        seed=args["seed"],
+        tol=args.get("tol"),
+        signal=args.get("signal"),
+        operators=args.get("operators"),
+        sweep=args.get("sweep"),
     )
     handlers = {
         "build": cmd_build,

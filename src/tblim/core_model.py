@@ -176,10 +176,6 @@ class SignalVector:
         if self.coeffs.ndim != 1:
             raise DomainError("SignalVector coefficients must be one-dimensional")
 
-    @property
-    def dim(self):
-        return self.coeffs.size
-
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
@@ -225,27 +221,6 @@ class DenseOperator:
             return SignalVector(self.entries @ other.coeffs, self.basis)
         return NotImplemented
 
-    def __add__(self, other):
-        if isinstance(other, DenseOperator):
-            self._check(other)
-            return DenseOperator(self.entries + other.entries, self.basis,
-                                 hermitian=self.hermitian and other.hermitian)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, DenseOperator):
-            self._check(other)
-            return DenseOperator(self.entries - other.entries, self.basis,
-                                 hermitian=self.hermitian and other.hermitian)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        return DenseOperator(scalar * self.entries, self.basis,
-                             hermitian=self.hermitian and float(np.imag(scalar)) == 0.0)
-
-    def adjoint(self):
-        return DenseOperator(self.entries.conj().T, self.basis, hermitian=self.hermitian)
-
 
 @dataclass
 class TridiagonalOperator:
@@ -274,14 +249,6 @@ class TridiagonalOperator:
         if self.dim > 1:
             m += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
         return DenseOperator(m, self.basis, hermitian=True)
-
-    def apply(self, v):
-        v = np.asarray(v)
-        out = self.diag * v
-        if self.dim > 1:
-            out[:-1] = out[:-1] + self.offdiag * v[1:]
-            out[1:] = out[1:] + self.offdiag * v[:-1]
-        return out
 
     def block(self, size):
         """Leading principal block as a new operator."""

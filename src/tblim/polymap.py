@@ -11,8 +11,8 @@ operator decouples exactly at the window edge, and there the time-band
 operator is E^T E for the band x window Fourier block E.  The link polynomial
 is P = sum_j w_j R_j with anchor weights w = E^T E[:, 0], and it is always
 evaluated through the recurrence (on a scalar, or on the tridiagonal block
-itself), never from monomial coefficients: those are kept for display and for
-tests, but their Horner evaluation loses most digits once degrees pass ~20.
+itself), never from monomial coefficients, whose Horner evaluation loses most
+digits once degrees pass ~20.
 
 Near-full windows make the link hypersensitive to rounding, so
 ``link_residuals_hp`` re-checks the identity in mpmath.  It reuses the model's
@@ -33,18 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import DenseOperator, band_window_block
+from .core_model import band_window_block
 from .errors import ConvergenceError, DegeneracyError, DomainError
 from .operators import heun_coefficients
 
 __all__ = [
-    "Polynomial",
     "LinkResiduals",
-    "recurrence_polys",
     "recurrence_values",
-    "assemble_P",
     "eval_P_stable",
-    "eval_poly_on_operator",
     "verify_Q_equals_piP",
     "refine_eigenvalues",
     "link_residuals_hp",
@@ -59,27 +55,6 @@ _MAX_DIGITS = 2000
 _AGREE_FLOOR = 1e-20
 _AGREE_REL = 1e-2
 _NEWTON_STEPS = 40
-
-
-@dataclass
-class Polynomial:
-    """Real polynomial in ascending monomial coefficients."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-
-    @property
-    def degree(self):
-        nz = np.nonzero(self.coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
-
-    def __call__(self, x):
-        out = np.zeros_like(np.asarray(x, dtype=complex))
-        for c in self.coeffs[::-1]:
-            out = out * x + c
-        return out[()]
 
 
 def _window_coefficients(p, ctx=None):
@@ -140,28 +115,6 @@ def _recurrence(diag, couplings, x):
     return vals
 
 
-def recurrence_polys(p):
-    """Polynomials R_0 .. R_{m-1} (m = window rank) with R_0 = 1, deg R_j = j.
-
-    Each forward substitution divides by the leading coefficient a_{j+1},
-    which is guaranteed nonzero inside the window for L < n; a vanishing
-    leading coefficient raises a degeneracy error.
-    """
-    if p.time_rank == 0:
-        return []
-    diag, couplings = _window_coefficients(p)
-    polys = [Polynomial(np.array([1.0]))]
-    for step in range(len(diag) - 1):
-        cur = polys[step].coeffs
-        new = np.zeros(step + 2)
-        new[1:] += cur                      # x * R_j
-        new[: step + 1] -= diag[step] * cur
-        if step >= 1:
-            new[: step] -= couplings[step - 1] * polys[step - 1].coeffs
-        polys.append(Polynomial(new / couplings[step]))
-    return polys
-
-
 def recurrence_values(p, x):
     """Values R_j(x) for j = 0 .. window rank - 1, by running the recurrence
     at x directly (stable evaluation path).  For an array x the result has
@@ -183,39 +136,12 @@ def _anchor_weights(p):
     return _read_only(e.T @ e[:, 0])
 
 
-def assemble_P(p):
-    """The spectral-link polynomial: P(t_l) = q_l on every window mode.
-
-    Built as the anchor-row weighted sum of the recurrence polynomials;
-    degree is at most the window rank minus one.
-    """
-    polys = recurrence_polys(p)
-    if not polys:
-        return Polynomial(np.array([0.0]))
-    w = _anchor_weights(p)
-    coeffs = np.zeros(len(polys))
-    for j, poly in enumerate(polys):
-        coeffs[: poly.coeffs.size] += w[j] * poly.coeffs
-    return Polynomial(coeffs)
-
-
 def eval_P_stable(p, x):
     """Evaluate the spectral-link polynomial at x (a scalar or an array)
-    through the recurrence (monomial-free path)."""
+    through the recurrence."""
     if p.time_rank == 0:
         return np.zeros_like(np.asarray(x, dtype=complex))[()]
     return (_anchor_weights(p) @ recurrence_values(p, x))[()]
-
-
-def eval_poly_on_operator(poly, t):
-    """Horner evaluation of a polynomial at a dense operator."""
-    if not isinstance(t, DenseOperator):
-        raise DomainError("expected a DenseOperator")
-    out = np.zeros((t.dim, t.dim), dtype=complex)
-    eye = np.eye(t.dim)
-    for c in poly.coeffs[::-1]:
-        out = out @ t.entries + c * eye
-    return DenseOperator(out, t.basis)
 
 
 def _link_on_window(diag, couplings, w):

@@ -37,7 +37,6 @@ __all__ = [
     "eig_sym_dense",
     "svd_E",
     "joint_spectrum",
-    "top_block_dim",
 ]
 
 log = logging.getLogger("tblim")
@@ -59,10 +58,6 @@ class Spectrum:
     def __len__(self):
         return self.values.size
 
-    def pairs(self):
-        for i in range(len(self)):
-            yield self.values[i], SignalVector(self.vectors[:, i], self.basis), self.residuals[i]
-
 
 @dataclass
 class SingularTriplets:
@@ -77,9 +72,6 @@ class SingularTriplets:
     sigmas: np.ndarray
     lefts: np.ndarray
     rights: np.ndarray
-
-    def __len__(self):
-        return self.sigmas.size
 
 
 @dataclass
@@ -287,11 +279,6 @@ def svd_E(p):
     return SingularTriplets(sigmas=sigmas, lefts=u, rights=vh.T)
 
 
-def top_block_dim(p):
-    """Dimension of the window-supported block of the Heun operator."""
-    return p.time_rank
-
-
 def joint_spectrum(p):
     """Simultaneous eigenpairs (t, q) on the window subspace.
 
@@ -303,7 +290,7 @@ def joint_spectrum(p):
     simple).  The residual ||E^T E v - q v|| guards that assumption.  Modes
     come back sorted by descending q, ties broken by ascending t.
     """
-    dim = top_block_dim(p)
+    dim = p.time_rank
     if dim == 0:
         return []
     block = heun_tb(p).block(dim)

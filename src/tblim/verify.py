@@ -35,7 +35,7 @@ from .operators import (
     to_momentum_basis,
 )
 from .polymap import eval_P_stable, link_residuals_hp, verify_Q_equals_piP
-from .spectral import eig_sym_dense, eig_sym_tridiag, joint_spectrum, svd_E, top_block_dim
+from .spectral import eig_sym_dense, eig_sym_tridiag, joint_spectrum, svd_E
 from .core_model import trig_c, trig_s
 
 __all__ = ["CheckResult", "run_suite"]
@@ -104,7 +104,7 @@ def run_suite(p, rng=None):
     t_mom = heun_tb_momentum(p).to_dense().entries
     out.append(_check("heun_momentum_conjugation",
                       mx(to_momentum_basis(t_dense, p).entries - t_mom), 1e-12))
-    cut = top_block_dim(p)
+    cut = p.time_rank
     if 0 < cut < p.dim:
         out.append(_check("window_edge_decoupling", abs(heun_tb(p).offdiag[cut - 1]), 0.0 + 1e-300))
 

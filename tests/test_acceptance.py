@@ -28,7 +28,7 @@ from tblim.operators import (
     tb_operator,
     to_momentum_basis,
 )
-from tblim.polymap import assemble_P, eval_P_stable, verify_Q_equals_piP
+from tblim.polymap import eval_P_stable, verify_Q_equals_piP
 from tblim.recon import Verdict, forward_observe, reconstruct
 from tblim.spectral import eig_sym_dense, eig_sym_tridiag, joint_spectrum
 

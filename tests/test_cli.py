@@ -292,6 +292,34 @@ class TestReconstruct:
         assert code == 2
 
 
+class TestOptions:
+    @pytest.mark.parametrize("command,option,value", [
+        ("build", "--ansatz", "first"), ("spectrum", "--ansatz", "plus"),
+        ("verify", "--ansatz", "first"), ("reconstruct", "--ansatz", "first"),
+        ("build", "--format", "csv"), ("verify", "--format", "csv"),
+        ("reconstruct", "--format", "csv"),
+        ("build", "--tol", "1e-30"), ("spectrum", "--tol", "1e-30"),
+        ("verify", "--tol", "1e-30"),
+        ("reconstruct", "--parity", "plus"),
+    ])
+    def test_undeclared_option_exits_two(self, capsys, command, option, value):
+        argv = [command, "--n", "6", "--K", "2", "--L", "3", option, value]
+        if command in ("build", "spectrum", "verify"):
+            argv += ["--parity", "minus"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_reconstruct_echoes_both_parities(self, capsys, tmp_path):
+        sig = tmp_path / "sig.csv"
+        TestReconstruct.write_signal(sig, 8, 4)
+        code, out, _ = run(capsys, "reconstruct", "--n", "8", "--K", "8", "--L", "4",
+                           "--signal", str(sig))
+        assert code == 0
+        assert json.loads(out)["params"]["parity"] == "both"
+
+
 class TestLogging:
     def _spectrum(self, level):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))

@@ -17,7 +17,6 @@ from tblim.spectral import (
     eig_sym_tridiag,
     joint_spectrum,
     svd_E,
-    top_block_dim,
 )
 
 
@@ -221,7 +220,7 @@ class TestJointSpectrum:
 
     def test_padding_keeps_window_support(self):
         p = make(7, 2, 3, Parity.MINUS)
-        cut = top_block_dim(p)
+        cut = p.time_rank
         for mode in joint_spectrum(p):
             assert mx(mode.vector.coeffs[cut:]) == 0.0
 
@@ -244,7 +243,7 @@ class TestJointSpectrumOracles:
         for L in range(n + 1):
             for K in range(n + 1):
                 p = make(n, K, L, parity)
-                dim = top_block_dim(p)
+                dim = p.time_rank
                 try:
                     modes = joint_spectrum(p)
                 except DegeneracyError:
