@@ -22,12 +22,19 @@ form (normalized by the magnitude of the cleared sides so the defect stays
 meaningful for roots with large imaginary part).  A candidate root set is
 accepted only if its eigenvalue formula is independent of the spectral
 parameter and matches a still-unmatched window eigenvalue.
+
+The equations and the eigenvalue formula are numpy array expressions over
+the roots: the pair factors s(x_i -+ x_j -+ 1) form m x m arrays, the
+residuals take a stack of root sets (one call gives all 2m points of a
+finite-difference Jacobian), and the eigenvalue takes an array of spectral
+parameters.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +72,8 @@ __all__ = [
     "solve_bethe",
     "canonicalize_roots",
 ]
+
+log = logging.getLogger("tblim")
 
 _POLE_TOL = 1e-12
 _EXCLUSION = 1e-6
@@ -130,6 +139,14 @@ def _require(p, value, name):
     if abs(value) < _POLE_TOL:
         raise PoleError(name, value)
     return value
+
+
+def _require_each(values, name):
+    """``_require`` over an array: PoleError at the first vanishing entry."""
+    hit = np.abs(values) < _POLE_TOL
+    if np.any(hit):
+        raise PoleError(name, values[hit][0])
+    return values
 
 
 def f_fn(p, u, v):
@@ -404,6 +421,40 @@ def check_reduction_formula(p, ybar, u_slot_last=True):
 # Bethe equations and eigenvalue formulas
 
 
+def _residuals(p, variant, x):
+    """``bethe_residuals`` over a stack of root sets x of shape (..., m).
+
+    The pair factors s(x_i -+ x_j -+ 1) are m x m arrays; the products over
+    j != i run along the rows with the diagonal set to 1.
+    """
+    s = lambda x: trig_s(p, x)
+    c = lambda x: trig_c(p, x)
+    dl = lambda x: delta_fn(p, x)
+    xi, xj = x[..., :, None], x[..., None, :]
+    off = ~np.eye(x.shape[-1], dtype=bool)
+    others = lambda pair: np.prod(np.where(off, pair, 1.0), axis=-1)
+    if variant is AnsatzVariant.MINUS_FIRST:
+        lhs = dl(x) * s(2 - 2 * x) * s(1 - 2 * x) * others(s(xi - xj - 1) * s(xi + xj - 1))
+        rhs = dl(-x) * s(2 + 2 * x) * s(1 + 2 * x) * others(s(xi - xj + 1) * s(xi + xj + 1))
+    else:
+        num = others(s(xi - xj + 1) * s(xi + xj + 1))
+        den = others(s(xi - xj - 1) * s(xi + xj - 1))
+        ipr = np.prod(4 * s(xj - xi + 1) * s(xj + xi - 1), axis=-1)
+        if variant is AnsatzVariant.MINUS_SECOND:
+            g1 = dl(1 - x) * s(2 - 2 * x) * s(1 - 2 * x)
+            g2 = dl(1 + x) * s(2 + 2 * x) * s(1 + 2 * x)
+            inh = s(2 * p.L + 1) ** 2 * s(2 * x * (p.L + 1)) * s(2 * x - 1)
+            lhs = g1 * den * ipr + inh * den
+            rhs = num * g2 * ipr
+        else:
+            g1 = dl(1 - x) * s(2 * x - 1)
+            g2 = dl(1 + x) * s(2 * x + 1)
+            inh = s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * x * (p.L + 1)) * s(2 * x - 1)
+            lhs = c(2 * p.L + 1) * g1 * den * ipr + inh * den
+            rhs = c(2 * p.L + 1) * num * g2 * ipr
+    return (lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
 def bethe_residuals(p, variant, roots):
     """Cleared-denominator defects of the Bethe equations, one per root.
 
@@ -412,75 +463,48 @@ def bethe_residuals(p, variant, roots):
     cleared sides, keeping the defect comparable across root scales.  The
     zero vector is returned exactly when the roots solve the system.
     """
-    roots = _check_roots(variant, p.L, roots)
-    s = lambda x: trig_s(p, x)
-    c = lambda x: trig_c(p, x)
-    dl = lambda x: delta_fn(p, x)
-    m = roots.size
-    out = np.zeros(m, dtype=complex)
-    for j in range(m):
-        x = roots[j]
-        others = np.delete(roots, j)
-        if variant is AnsatzVariant.MINUS_FIRST:
-            lhs = dl(x) * s(2 - 2 * x) * s(1 - 2 * x) \
-                * np.prod([s(x - xi - 1) * s(x + xi - 1) for xi in others])
-            rhs = dl(-x) * s(2 + 2 * x) * s(1 + 2 * x) \
-                * np.prod([s(x - xi + 1) * s(x + xi + 1) for xi in others])
-        elif variant is AnsatzVariant.MINUS_SECOND:
-            g1 = dl(1 - x) * s(2 - 2 * x) * s(1 - 2 * x)
-            g2 = dl(1 + x) * s(2 + 2 * x) * s(1 + 2 * x)
-            num = np.prod([s(x - yi + 1) * s(x + yi + 1) for yi in others])
-            den = np.prod([s(x - yi - 1) * s(x + yi - 1) for yi in others])
-            inh = s(2 * p.L + 1) ** 2 * s(2 * x * (p.L + 1)) * s(2 * x - 1)
-            ipr = np.prod([4 * s(yi - x + 1) * s(yi + x - 1) for yi in roots])
-            lhs = g1 * den * ipr + inh * den
-            rhs = num * g2 * ipr
-        else:
-            g1 = dl(1 - x) * s(2 * x - 1)
-            g2 = dl(1 + x) * s(2 * x + 1)
-            num = np.prod([s(x - zi + 1) * s(x + zi + 1) for zi in others])
-            den = np.prod([s(x - zi - 1) * s(x + zi - 1) for zi in others])
-            inh = s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * x * (p.L + 1)) * s(2 * x - 1)
-            ipr = np.prod([4 * s(zi - x + 1) * s(zi + x - 1) for zi in roots])
-            lhs = c(2 * p.L + 1) * g1 * den * ipr + inh * den
-            rhs = c(2 * p.L + 1) * num * g2 * ipr
-        out[j] = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return out
+    return _residuals(p, variant, _check_roots(variant, p.L, roots))
 
 
 def bethe_eigenvalue(p, variant, roots, u):
     """Candidate Heun eigenvalue produced by a root set, evaluated at
-    spectral parameter u; constant in u exactly on solutions of the Bethe
-    equations."""
+    spectral parameter u (a scalar, or an array giving an array of the same
+    shape); constant in u exactly on solutions of the Bethe equations."""
     roots = _check_roots(variant, p.L, roots)
     s = lambda x: trig_s(p, x)
     c = lambda x: trig_c(p, x)
     dl = lambda x: delta_fn(p, x)
-    s2u = _require(p, s(2 * u), f"s(2u) at u={u}")
-    for x in roots:
-        _require(p, s(u + x), "s(u + x_i)")
-        _require(p, s(u - x), "s(u - x_i)")
+    u = np.asarray(u, dtype=complex)
+    s2u = _require_each(s(2 * u), "s(2u)")
+    uu = u[..., None]
+    spx = _require_each(s(uu + roots), "s(u + x_i)")
+    smx = _require_each(s(uu - roots), "s(u - x_i)")
+    den = spx * smx
+    f_plus = np.prod(s(uu + roots - 1) * s(uu - roots - 1) / den, axis=-1)     # f(u, x_i)
+    f_minus = np.prod(s(uu - roots + 1) * s(uu + roots + 1) / den, axis=-1)    # f(-u, x_i)
     if variant is AnsatzVariant.MINUS_FIRST:
-        return (
+        t = (
             2 * c(2 * u)
-            + 2 * dl(u) * s(2 - 2 * u) / s2u * np.prod([f_fn(p, u, x) for x in roots])
-            - 2 * dl(-u) * s(2 + 2 * u) / s2u * np.prod([f_fn(p, -u, x) for x in roots])
+            + 2 * dl(u) * s(2 - 2 * u) / s2u * f_plus
+            - 2 * dl(-u) * s(2 + 2 * u) / s2u * f_minus
         )
-    if variant is AnsatzVariant.MINUS_SECOND:
-        return (
+    elif variant is AnsatzVariant.MINUS_SECOND:
+        t = (
             2 * c(2 * u)
-            + 2 * dl(1 - u) * s(2 - 2 * u) / s2u * np.prod([f_fn(p, u, y) for y in roots])
-            - 2 * dl(1 + u) * s(2 + 2 * u) / s2u * np.prod([f_fn(p, -u, y) for y in roots])
+            + 2 * dl(1 - u) * s(2 - 2 * u) / s2u * f_plus
+            - 2 * dl(1 + u) * s(2 + 2 * u) / s2u * f_minus
             - 2 * s(2 * p.L + 1) ** 2 * s(2 * u * (p.L + 1)) / s2u
-            * np.prod([1.0 / (4 * s(y + u) * s(y - u)) for y in roots])
+            * np.prod(1.0 / (4 * spx * s(roots - uu)), axis=-1)
         )
-    return (
-        2 * c(2 * u)
-        - 2 * dl(1 - u) * np.prod([f_fn(p, u, z) for z in roots])
-        - 2 * dl(1 + u) * np.prod([f_fn(p, -u, z) for z in roots])
-        - 2 * s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * u * (p.L + 1)) / c(2 * p.L + 1)
-        * np.prod([1.0 / (4 * s(z + u) * s(z - u)) for z in roots])
-    )
+    else:
+        t = (
+            2 * c(2 * u)
+            - 2 * dl(1 - u) * f_plus
+            - 2 * dl(1 + u) * f_minus
+            - 2 * s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * u * (p.L + 1)) / c(2 * p.L + 1)
+            * np.prod(1.0 / (4 * spx * s(roots - uu)), axis=-1)
+        )
+    return t[()]
 
 
 # ---------------------------------------------------------------------------
@@ -515,45 +539,39 @@ def canonicalize_roots(p, roots):
 def _roots_admissible(p, roots):
     """Exclusion zone: no root at a pole of the equations, no coincident
     pair (coincidence makes the system degenerate)."""
-    for x in roots:
-        if abs(trig_s(p, 2 * x)) < _EXCLUSION:
-            return False
-    for i in range(roots.size):
-        for j in range(i + 1, roots.size):
-            if abs(roots[i] - roots[j]) < _EXCLUSION:
-                return False
-            if abs(trig_s(p, roots[i] + roots[j])) < _EXCLUSION \
-                    or abs(trig_s(p, roots[i] - roots[j])) < _EXCLUSION:
-                return False
-    return True
+    i, j = np.triu_indices(roots.size, 1)
+    a, b = roots[i], roots[j]
+    near = np.concatenate([
+        np.abs(trig_s(p, 2 * roots)), np.abs(a - b),
+        np.abs(trig_s(p, a + b)), np.abs(trig_s(p, a - b)),
+    ])
+    return not np.any(near < _EXCLUSION)
 
 
 def _newton(fun, x0, max_iter, tol=1e-13, fd_step=1e-6):
-    """Damped Newton for a square holomorphic system, finite-difference
-    Jacobian."""
+    """Damped Newton for a square holomorphic system, central-difference
+    Jacobian.  ``fun`` maps a stack of points (..., m) to their residuals, so
+    the 2m perturbed points of a Jacobian take one call.  Returns the last
+    point, whether it converged, and the number of Newton steps taken."""
     x = np.asarray(x0, dtype=complex).copy()
     m = x.size
-    for _ in range(max_iter):
+    steps = fd_step * np.eye(m)
+    for it in range(max_iter):
         try:
             fx = fun(x)
         except (PoleError, FloatingPointError):
-            return x, False
+            return x, False, it
         n0 = float(np.linalg.norm(fx))
         if not np.isfinite(n0):
-            return x, False
+            return x, False, it
         if n0 < tol:
-            return x, True
-        jac = np.zeros((m, m), dtype=complex)
+            return x, True, it
         try:
-            for k in range(m):
-                xp = x.copy()
-                xm = x.copy()
-                xp[k] += fd_step
-                xm[k] -= fd_step
-                jac[:, k] = (fun(xp) - fun(xm)) / (2 * fd_step)
+            fs = fun(np.concatenate([x + steps, x - steps]))
+            jac = ((fs[:m] - fs[m:]) / (2 * fd_step)).T
             step = np.linalg.solve(jac, -fx)
         except (np.linalg.LinAlgError, PoleError, FloatingPointError):
-            return x, False
+            return x, False, it
         lam = 1.0
         moved = False
         for _ in range(30):
@@ -567,12 +585,12 @@ def _newton(fun, x0, max_iter, tol=1e-13, fd_step=1e-6):
                 break
             lam *= 0.5
         if not moved:
-            return x, n0 < tol
+            return x, n0 < tol, it
         x = xn
     try:
-        return x, float(np.linalg.norm(fun(x))) < tol
+        return x, float(np.linalg.norm(fun(x))) < tol, max_iter
     except (PoleError, FloatingPointError):
-        return x, False
+        return x, False, max_iter
 
 
 _U_PROBES = np.array(
@@ -583,25 +601,22 @@ _U_PROBES = np.array(
 
 def _u_samples(p, roots, count=7):
     """Generic spectral-parameter samples, nudged off any pole of the
-    eigenvalue formula for these roots."""
-    out = []
-    shift = 0.0
-    for u0 in _U_PROBES[:count]:
-        u = u0 + shift
-        for _ in range(12):
-            bad = abs(trig_s(p, 2 * u)) < 1e-4 or any(
-                abs(trig_s(p, u + x)) < 1e-4 or abs(trig_s(p, u - x)) < 1e-4 for x in roots
-            )
-            if not bad:
-                break
-            u += 0.0731 + 0.0179j
-        out.append(u)
-    return out
+    eigenvalue formula for these roots.  Each probe moves by the same step,
+    at most 12 times, until s(2u) and every s(u -+ x_i) is at least 1e-4."""
+    u = _U_PROBES[:count].copy()
+    for _ in range(12):
+        near = np.minimum(np.abs(trig_s(p, u[:, None] + roots)),
+                          np.abs(trig_s(p, u[:, None] - roots)))
+        bad = (np.abs(trig_s(p, 2 * u)) < 1e-4) | np.any(near < 1e-4, axis=1)
+        if not np.any(bad):
+            break
+        u[bad] += 0.0731 + 0.0179j
+    return u
 
 
 def _eigenvalue_profile(p, variant, roots):
     """(mean eigenvalue, u-spread incl. imaginary size) over generic u."""
-    ts = np.array([bethe_eigenvalue(p, variant, roots, u) for u in _u_samples(p, roots)])
+    ts = bethe_eigenvalue(p, variant, roots, _u_samples(p, roots))
     spread = float(np.ptp(ts.real) + np.max(np.abs(ts.imag)))
     return float(np.mean(ts.real)), spread
 
@@ -630,18 +645,20 @@ def _closed_form_seed(p, basis, target):
     """Roots whose scaled Bethe state is proportional to ``target``.
 
     Solving V c = v gives e_k = c_k / c_0; the w's are the zeros of
-    sum_k (-1)^k e_k z^(m-k) and x = (n/pi) arccos w.  Returns None when V
-    is singular or c_0 vanishes.
+    sum_k (-1)^k e_k z^(m-k) and x = (n/pi) arccos w.  Returns (roots, None),
+    or (None, reason) when V is singular or c_0 vanishes.
     """
     m = basis.shape[1] - 1
     try:
         c = np.linalg.solve(basis, target[: m + 1])
     except np.linalg.LinAlgError:
-        return None
-    if c[0] == 0 or not np.all(np.isfinite(c)):
-        return None
+        return None, "singular V"
+    if not np.all(np.isfinite(c)):
+        return None, "singular V"
+    if c[0] == 0:
+        return None, "c0 = 0"
     w = np.roots(c / c[0] * (-1.0) ** np.arange(m + 1))
-    return p.n / np.pi * np.arccos(w.astype(complex))
+    return p.n / np.pi * np.arccos(w.astype(complex)), None
 
 
 def solve_bethe(p, variant, residual_tol=1e-9):
@@ -653,7 +670,8 @@ def solve_bethe(p, variant, residual_tol=1e-9):
     ``residual_tol``, its eigenvalue is u-independent, and it matches an
     unmatched window eigenvalue within 1e-6.  A level whose seed fails
     (singular V, vanishing c_0, Newton or a check rejects it) is reported in
-    ``missing_levels``; the solve is deterministic.
+    ``missing_levels``; the solve is deterministic.  At log level DEBUG each
+    window level logs its outcome, Newton steps, residual and u-spread.
     """
     if variant.parity is not p.parity:
         raise DomainError(f"{variant.value} ansatz requires parity {variant.parity.value}")
@@ -673,48 +691,61 @@ def solve_bethe(p, variant, residual_tol=1e-9):
     t_targets = np.array([mode.t for mode in modes])
 
     def consider(roots):
+        """Accept ``roots`` for the window level they match, if every check
+        passes; returns (outcome, residual, u-spread), NaN where not reached."""
         nonlocal extra
         roots = canonicalize_roots(p, roots)
         if not _roots_admissible(p, roots):
-            return
+            return "inadmissible roots", np.nan, np.nan
         res = float(np.max(np.abs(bethe_residuals(p, variant, roots)))) if m else 0.0
         if res > residual_tol:
-            return
+            return "rejected on residual", res, np.nan
         try:
             t_mean, spread = _eigenvalue_profile(p, variant, roots)
         except PoleError:
-            return
+            return "pole in eigenvalue formula", res, np.nan
         if spread > 1e-8:
-            return
+            return "rejected on u-spread", res, spread
         k = int(np.argmin(np.abs(t_targets - t_mean)))
         if abs(t_targets[k] - t_mean) > _MATCH_TOL:
-            return
+            return "no match", res, spread
         if k in matched:
             if np.max(np.abs(matched[k].roots - roots)) > 1e-6:
                 extra += 1
-            return
+            return f"re-hit matched level {k}", res, spread
         matched[k] = BetheRootSet(
             variant=variant, roots=roots, residual=res,
             eigenvalue=complex(t_mean), level=k,
             t_spectral=float(t_targets[k]), u_spread=spread,
         )
+        return f"accepted as level {k}", res, spread
+
+    def report(level, steps, outcome, res=np.nan, spread=np.nan):
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("bethe n=%d K=%d L=%d %s level %d: %s, %d Newton steps, "
+                      "residual %.3e, u-spread %.3e", p.n, p.K, p.L, variant.value,
+                      level, outcome, steps, res, spread)
 
     seeds = 0
     if m == 0:
-        consider(np.zeros(0, dtype=complex))
+        report(0, 0, *consider(np.zeros(0, dtype=complex)))
     else:
         basis = _state_basis(p, variant)
-        system = lambda x: bethe_residuals(p, variant, x)
+        system = lambda x: _residuals(p, variant, x)
         for k, mode in enumerate(modes):
             if k in matched:
+                report(k, 0, "matched by an earlier seed")
                 continue
-            seed = _closed_form_seed(p, basis, mode.vector.coeffs)
+            seed, why = _closed_form_seed(p, basis, mode.vector.coeffs)
             seeds += 1
             if seed is None:
+                report(k, 0, why)
                 continue
-            roots, ok = _newton(system, seed, _NEWTON_MAX_ITER)
+            roots, ok, steps = _newton(system, seed, _NEWTON_MAX_ITER)
             if ok:
-                consider(roots)
+                report(k, steps, *consider(roots))
+            else:
+                report(k, steps, "Newton failed")
 
     missing = [k for k in range(dim) if k not in matched]
     return BetheSolveResult(

@@ -9,6 +9,7 @@ failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -288,7 +289,10 @@ def cmd_reconstruct(cfg):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser; built once per process, since parsing leaves it
+    unchanged."""
     ap = argparse.ArgumentParser(prog="tblim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("build", "spectrum", "verify", "bethe", "reconstruct"):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from tblim.bethe import (
     AnsatzVariant,
+    _roots_admissible,
+    _u_samples,
     bethe_eigenvalue,
     bethe_residuals,
     bethe_slots,
@@ -254,6 +256,158 @@ class TestEquationsAndEigenvalue:
         p = make(6, 2, 3, Parity.MINUS)
         with pytest.raises(PoleError):
             bethe_eigenvalue(p, AnsatzVariant.MINUS_FIRST, np.array([0.5, 1.5]), 0.0)
+
+
+# Scalar transcriptions of the Bethe equations and the eigenvalue formula,
+# one root and one spectral parameter at a time: the oracle for the array
+# kernels of tblim.bethe.
+
+
+def scalar_residuals(p, variant, roots):
+    s = lambda x: trig_s(p, x)
+    c = lambda x: trig_c(p, x)
+    dl = lambda x: delta_fn(p, x)
+    out = np.zeros(roots.size, dtype=complex)
+    for j, x in enumerate(roots):
+        others = np.delete(roots, j)
+        if variant is AnsatzVariant.MINUS_FIRST:
+            lhs = dl(x) * s(2 - 2 * x) * s(1 - 2 * x) \
+                * np.prod([s(x - xi - 1) * s(x + xi - 1) for xi in others])
+            rhs = dl(-x) * s(2 + 2 * x) * s(1 + 2 * x) \
+                * np.prod([s(x - xi + 1) * s(x + xi + 1) for xi in others])
+        else:
+            num = np.prod([s(x - yi + 1) * s(x + yi + 1) for yi in others])
+            den = np.prod([s(x - yi - 1) * s(x + yi - 1) for yi in others])
+            ipr = np.prod([4 * s(yi - x + 1) * s(yi + x - 1) for yi in roots])
+            if variant is AnsatzVariant.MINUS_SECOND:
+                g1 = dl(1 - x) * s(2 - 2 * x) * s(1 - 2 * x)
+                g2 = dl(1 + x) * s(2 + 2 * x) * s(1 + 2 * x)
+                inh = s(2 * p.L + 1) ** 2 * s(2 * x * (p.L + 1)) * s(2 * x - 1)
+                lhs = g1 * den * ipr + inh * den
+                rhs = num * g2 * ipr
+            else:
+                g1 = dl(1 - x) * s(2 * x - 1)
+                g2 = dl(1 + x) * s(2 * x + 1)
+                inh = s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * x * (p.L + 1)) * s(2 * x - 1)
+                lhs = c(2 * p.L + 1) * g1 * den * ipr + inh * den
+                rhs = c(2 * p.L + 1) * num * g2 * ipr
+        out[j] = (lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return out
+
+
+def scalar_eigenvalue(p, variant, roots, u):
+    s = lambda x: trig_s(p, x)
+    c = lambda x: trig_c(p, x)
+    dl = lambda x: delta_fn(p, x)
+    s2u = s(2 * u)
+    fu = np.prod([f_fn(p, u, x) for x in roots])
+    fmu = np.prod([f_fn(p, -u, x) for x in roots])
+    inh = np.prod([1.0 / (4 * s(x + u) * s(x - u)) for x in roots])
+    if variant is AnsatzVariant.MINUS_FIRST:
+        return (2 * c(2 * u) + 2 * dl(u) * s(2 - 2 * u) / s2u * fu
+                - 2 * dl(-u) * s(2 + 2 * u) / s2u * fmu)
+    if variant is AnsatzVariant.MINUS_SECOND:
+        return (2 * c(2 * u) + 2 * dl(1 - u) * s(2 - 2 * u) / s2u * fu
+                - 2 * dl(1 + u) * s(2 + 2 * u) / s2u * fmu
+                - 2 * s(2 * p.L + 1) ** 2 * s(2 * u * (p.L + 1)) / s2u * inh)
+    return (2 * c(2 * u) - 2 * dl(1 - u) * fu - 2 * dl(1 + u) * fmu
+            - 2 * s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * u * (p.L + 1)) / c(2 * p.L + 1) * inh)
+
+
+def scalar_u_samples(p, roots, probes):
+    out = []
+    for u in probes:
+        for _ in range(12):
+            if not (abs(trig_s(p, 2 * u)) < 1e-4 or any(
+                    abs(trig_s(p, u + x)) < 1e-4 or abs(trig_s(p, u - x)) < 1e-4
+                    for x in roots)):
+                break
+            u += 0.0731 + 0.0179j
+        out.append(u)
+    return out
+
+
+def scalar_admissible(p, roots):
+    if any(abs(trig_s(p, 2 * x)) < 1e-6 for x in roots):
+        return False
+    return not any(
+        abs(roots[i] - roots[j]) < 1e-6 or abs(trig_s(p, roots[i] + roots[j])) < 1e-6
+        or abs(trig_s(p, roots[i] - roots[j])) < 1e-6
+        for i in range(roots.size) for j in range(i + 1, roots.size))
+
+
+KERNEL_CASES = [
+    (variant, n, K, L)
+    for variant in AnsatzVariant
+    for n, K, L in [(6, 2, 3), (8, 3, 4), (12, 4, 5), (16, 5, 8), (24, 8, 9)]
+]
+PROBES = [0.3137 + 0.2718j, 0.8771 - 0.1543j, 1.4142 + 0.3333j, 0.2712 - 0.4141j,
+          1.7321 + 0.1013j, 0.5774 + 0.5051j, 2.2361 - 0.2871j]
+
+
+def random_roots(rng, p, variant):
+    m = variant.root_count(p.L)
+    return rng.uniform(0.1, p.n - 0.1, m) + 1j * rng.normal(0.0, 0.7, m)
+
+
+class TestArrayKernels:
+    @pytest.mark.parametrize("variant,n,K,L", KERNEL_CASES)
+    def test_residuals_match_scalar_oracle(self, variant, n, K, L):
+        p = make(n, K, L, variant.parity)
+        rng = np.random.default_rng(n * 100 + L)
+        for _ in range(10):
+            roots = random_roots(rng, p, variant)
+            assert mx(bethe_residuals(p, variant, roots)
+                      - scalar_residuals(p, variant, roots)) < 1e-14
+
+    @pytest.mark.parametrize("variant,n,K,L", KERNEL_CASES)
+    def test_eigenvalue_matches_scalar_oracle(self, variant, n, K, L):
+        p = make(n, K, L, variant.parity)
+        rng = np.random.default_rng(n * 100 + L + 1)
+        us = np.array(PROBES)
+        for _ in range(10):
+            roots = random_roots(rng, p, variant)
+            want = np.array([scalar_eigenvalue(p, variant, roots, u) for u in us])
+            got = bethe_eigenvalue(p, variant, roots, us)
+            assert got.shape == us.shape
+            assert mx((got - want) / want) < 1e-13
+            one = bethe_eigenvalue(p, variant, roots, us[2])
+            assert np.ndim(one) == 0 and abs(one - want[2]) < 1e-13 * abs(want[2])
+
+    @pytest.mark.parametrize("variant", list(AnsatzVariant))
+    def test_pole_at_zero_and_at_each_root(self, variant):
+        p = make(8, 3, 4, variant.parity)
+        roots = random_roots(np.random.default_rng(3), p, variant)
+        for u in [0.0] + [sgn * x for x in roots for sgn in (1, -1)]:
+            with pytest.raises(PoleError):
+                bethe_eigenvalue(p, variant, roots, u)
+            with pytest.raises(PoleError):
+                bethe_eigenvalue(p, variant, roots, np.array([0.3 + 0.2j, u]))
+
+    @pytest.mark.parametrize("variant,n,K,L", KERNEL_CASES)
+    def test_u_samples_match_scalar_loop(self, variant, n, K, L):
+        p = make(n, K, L, variant.parity)
+        rng = np.random.default_rng(n * 100 + L + 2)
+        roots = random_roots(rng, p, variant)
+        # roots on the first probes force nudges past s(u + x) = 0 and s(u - x) = 0
+        roots[:2] = [-PROBES[0], PROBES[1] + 1e-6]
+        for r in (roots, random_roots(rng, p, variant)):
+            got = _u_samples(p, r)
+            assert list(got) == scalar_u_samples(p, r, PROBES)
+        assert _u_samples(p, roots)[0] != PROBES[0]
+
+    @pytest.mark.parametrize("variant,n,K,L", KERNEL_CASES)
+    def test_admissibility_matches_scalar_loop(self, variant, n, K, L):
+        p = make(n, K, L, variant.parity)
+        rng = np.random.default_rng(n * 100 + L + 3)
+        roots = random_roots(rng, p, variant)
+        near = [roots.copy() for _ in range(4)]
+        near[1][0] = 0.0                        # s(2x) = 0
+        near[2][-1] = near[2][0] + 5e-7         # coincident pair
+        near[3][-1] = 2 * p.n - near[3][0]      # s(x_i + x_j) = 0
+        for r in near:
+            assert _roots_admissible(p, r) == scalar_admissible(p, r)
+        assert [scalar_admissible(p, r) for r in near] == [True, False, False, False]
 
 
 class TestPairMatrices:

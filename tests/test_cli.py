@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tblim
-from tblim.cli import main
+from tblim.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -311,6 +311,29 @@ class TestOptions:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
+    def test_two_commands_in_one_process(self, capsys):
+        # the parser is built once per process; a rejected option in between
+        # must not leak into the next command
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        spectrum = ["spectrum", "--n", "8", "--K", "3", "--L", "4", "--parity", "plus",
+                    "--format", "csv"]
+        bethe = ["bethe", "--n", "6", "--K", "2", "--L", "3", "--ansatz", "first"]
+        fresh = [subprocess.run([sys.executable, "-m", "tblim.cli"] + argv, env=env,
+                                capture_output=True, text=True, check=True).stdout
+                 for argv in (spectrum, bethe)]
+        assert build_parser() is build_parser()
+        code, out_spectrum, _ = run(capsys, *spectrum)
+        assert code == 0
+        with pytest.raises(SystemExit):
+            main(["verify", "--n", "6", "--K", "2", "--L", "3", "--parity", "minus",
+                  "--tol", "1e-3"])
+        capsys.readouterr()
+        code, out_bethe, _ = run(capsys, *bethe)
+        assert code == 0
+        assert [out_spectrum, out_bethe] == fresh
+        assert json.loads(out_bethe)["missing_levels"] == []
+
     def test_reconstruct_echoes_both_parities(self, capsys, tmp_path):
         sig = tmp_path / "sig.csv"
         TestReconstruct.write_signal(sig, 8, 4)
@@ -337,6 +360,24 @@ class TestLogging:
         assert loud.stdout == quiet.stdout
         assert "tblim DEBUG: joint_spectrum n=8 K=3 L=4 plus: window rank 5, " \
             "min eigenvalue gap 6.348e-01, max joint residual" in loud.stderr
+
+    def test_debug_logs_each_bethe_level(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        args = [sys.executable, "-m", "tblim.cli", "bethe", "--n", "8", "--K", "3", "--L", "5",
+                "--ansatz", "second"]
+        quiet = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+        loud = subprocess.run(args, env=dict(env, TBLIM_LOG="debug"), capture_output=True,
+                              text=True, check=True)
+        assert quiet.stderr == ""
+        assert loud.stdout == quiet.stdout
+        lines = [ln for ln in loud.stderr.splitlines() if "tblim DEBUG: bethe " in ln]
+        levels = json.loads(quiet.stdout)["levels"]
+        assert len(lines) == len(levels) == 5
+        for k, line in enumerate(lines):
+            assert line.startswith(f"tblim DEBUG: bethe n=8 K=3 L=5 second level {k}: accepted as "
+                                   "level ")
+            assert " Newton steps, residual " in line and ", u-spread " in line
 
     def test_info_logs_each_link_escalation(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
