@@ -15,19 +15,26 @@ itself), never from monomial coefficients, whose Horner evaluation loses most
 digits once degrees pass ~20.
 
 Near-full windows make the link hypersensitive to rounding, so
-``link_residuals_hp`` re-checks the identity in mpmath.  It reuses the model's
-builders (``heun_coefficients`` and ``band_window_block`` in an mpmath
-context), refines the double-precision eigenvalues of the window block by
-Newton's method and confirms them with Sturm counts, and takes each
-eigenvector from the recurrence: O(band rank * m^2) high-precision
-operations.  The number of digits follows a conditioning estimate (the digits
-the same check loses in double precision) and the result is confirmed at a
-second, higher precision; disagreement doubles the digits.
+``link_residuals_hp`` re-checks the identity in high precision.  It builds
+the window block and E with the model's own builders (``heun_coefficients``
+and ``band_window_block`` in an mpmath context), then converts them once to
+fixed point: Python integers scaled by 2**P, P the context's precision plus
+guard bits, in numpy object arrays, so that each step is one pass over all m
+window eigenvalues instead of one mpf object per operation.  The quantities
+it forms (eigenvalues, unit eigenvectors, E v and the defects) are O(1), so
+an absolute 2**-P error per operation is as good as floating point at that
+precision.  It refines the double-precision eigenvalues of the window block
+by Newton's method, confirms them with Sturm counts, and takes each
+eigenvector from the recurrence: O(band rank * m^2) integer operations.  The
+number of digits follows a conditioning estimate (the digits the same check
+loses in double precision) and the result is confirmed at a second, higher
+precision; disagreement doubles the digits.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -46,6 +53,8 @@ __all__ = [
     "link_residuals_hp",
 ]
 
+log = logging.getLogger("tblim")
+
 # digits kept beyond the conditioning estimate at the first precision, and
 # added for the confirming one
 _SPARE_DIGITS = 30
@@ -55,6 +64,8 @@ _MAX_DIGITS = 2000
 _AGREE_FLOOR = 1e-20
 _AGREE_REL = 1e-2
 _NEWTON_STEPS = 40
+# bits kept beyond the context's precision by the fixed-point arithmetic
+_GUARD_BITS = 16
 
 
 def _window_coefficients(p, ctx=None):
@@ -205,97 +216,167 @@ class LinkResiduals:
         return tuple(trial[0] for trial in self.trials)
 
 
-def _charpoly(diag, e2, x):
-    """Characteristic polynomial of a symmetric tridiagonal matrix (squared
-    off-diagonal ``e2``) and its derivative at x, by the three-term
-    recurrence."""
-    f_prev, f = 1, x - diag[0]
-    d_prev, d = 0, 1
-    for k in range(1, len(diag)):
-        f_prev, f, d_prev, d = (
-            f, (x - diag[k]) * f - e2[k - 1] * f_prev,
-            d, f + (x - diag[k]) * d - e2[k - 1] * d_prev,
-        )
-    return f, d
+def _fixed(values, bits, ctx):
+    """Real values (mpf or float) as integers scaled by 2**bits, rounded down,
+    in a numpy object array."""
+    from mpmath.libmp import to_fixed
+
+    return np.array([to_fixed(ctx.convert(v)._mpf_, bits) for v in values], dtype=object)
 
 
-def _count_below(diag, e2, x, tiny):
-    """Sturm count: the number of eigenvalues below x, read off the signs of
-    the pivots of T - x I = L D L^T (a zero pivot is replaced by ``tiny``)."""
-    count, u = 0, None
-    for k in range(len(diag)):
-        u = diag[k] - x - (e2[k - 1] / u if k else 0)
-        if not u:
-            u = tiny
-        if u < 0:
-            count += 1
+def _pivots(diag, e2s, x, tiny):
+    """The pivots u_0 .. u_{m-1} of T - x I = L D L^T, in turn, for every x of
+    the array at once, with the quotients e_k^2 / u_k that form them; a zero
+    pivot is replaced by ``tiny``.  ``e2s`` holds the squared off-diagonal
+    scaled by 2**(2 bits), so e2s // u is again scaled by 2**bits."""
+    quotient = None
+    for k, d in enumerate(diag):
+        u = d - x if quotient is None else d - x - quotient
+        u[u == 0] = tiny
+        yield u, quotient
+        if k < len(e2s):
+            quotient = e2s[k] // u
+
+
+def _newton(diag, e2s, x, bits, tol):
+    """Newton's method on det(T - x I) for every root of the array at once,
+    with the step f/f' = 1 / sum_k u_k'/u_k taken from the pivots u_k and
+    their derivatives u_k' = -1 + (e_{k-1}^2 / u_{k-1}) u_{k-1}' / u_{k-1}.
+    Each root stops once its step is at most ``tol`` or fails to halve.
+    Returns the roots and the number of passes over them."""
+    one = 1 << bits
+    x = x.copy()
+    last = np.full(len(x), -1, dtype=object)
+    active = np.arange(len(x))
+    passes = 0
+    while active.size and passes < _NEWTON_STEPS:
+        passes += 1
+        xa = x[active]
+        total = np.zeros(len(xa), dtype=object)
+        du = np.full(len(xa), -one, dtype=object)
+        for u, quotient in _pivots(diag, e2s, xa, 1):
+            if quotient is not None:
+                du = quotient * du // u_prev - one
+            total += (du << bits) // u
+            u_prev = u
+        moves = total != 0
+        step = np.zeros(len(xa), dtype=object)
+        step[moves] = (one << bits) // total[moves]
+        x[active] = xa - step
+        size = np.abs(step)
+        prev = last[active]
+        done = (size <= tol) | ((prev >= 0) & (2 * size > prev))
+        last[active] = size
+        active = active[~done]
+    return x, passes
+
+
+def _count_below(diag, e2s, x, tiny):
+    """Sturm counts: the number of eigenvalues below each x of the array, read
+    off the signs of the pivots of T - x I."""
+    count = np.zeros(len(x), dtype=int)
+    for u, _ in _pivots(diag, e2s, x, tiny):
+        count += u < 0
     return count
+
+
+def _refine(diag, off, guesses, ctx):
+    """``refine_eigenvalues`` in fixed point: the roots as integers scaled by
+    2**bits, ascending, with bits the precision of ``ctx`` plus guard bits;
+    then bits, the number of Newton passes and a boolean array that is true
+    for each root that brackets its own eigenvalue."""
+    m = len(diag)
+    bits = ctx.prec + _GUARD_BITS
+    one = 1 << bits
+    d = _fixed(diag, bits, ctx)
+    e = _fixed(off[: m - 1], bits, ctx)
+    e2s = e * e
+    eps = int(_fixed([ctx.eps], bits, ctx)[0])
+    scale = one + max(abs(v) for v in d) + 2 * max((abs(v) for v in e), default=0)
+    x, passes = _newton(d, e2s, _fixed(guesses, bits, ctx), bits, (4 * eps * scale) >> bits)
+    x = np.array(sorted(x), dtype=object)
+    if m > 1:
+        gap = x[1:] - x[:-1]
+        h = np.concatenate([gap[:1], np.minimum(gap[:-1], gap[1:]), gap[-1:]]) // 4
+    else:
+        h = np.array([scale // 4], dtype=object)
+    below = _count_below(d, e2s, np.concatenate([x - h, x + h]), eps)
+    ranks = np.arange(m)
+    bracketed = (below[:m] == ranks) & (below[m:] == ranks + 1)
+    return x, bits, passes, bracketed
+
+
+def _require_bracketed(bracketed, ctx):
+    if not bracketed.all():
+        raise ConvergenceError(
+            f"refined eigenvalue {int(np.argmin(bracketed))} of {len(bracketed)} does not "
+            f"bracket its own eigenvalue at {ctx.dps} digits"
+        )
 
 
 def refine_eigenvalues(diag, off, guesses, ctx):
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal ``diag``
     and off-diagonal ``off`` in the precision of the mpmath context ``ctx``,
     refined from ``guesses`` (one per eigenvalue: double-precision values, or
-    the roots of a lower precision) by Newton's method on the characteristic
-    polynomial.
+    the roots of a lower precision) by Newton's method.
 
-    Returned ascending once confirmed to be m distinct roots: with h_i a
-    quarter of the distance from root x_i to its nearest neighbour, a Sturm
-    count finds exactly i eigenvalues below x_i - h_i and i + 1 below
-    x_i + h_i, so every root brackets its own eigenvalue and none is counted
-    twice.  Otherwise ConvergenceError.
+    The arithmetic is fixed point: every value is an integer scaled by 2**P,
+    P the context's precision plus guard bits, and each step is one pass
+    over all roots at once.  Newton's step f/f' is taken from the pivots u_k
+    of T - x I = L D L^T as 1 / sum_k u_k'/u_k, which is free of the scale
+    of f: where eigenvalues cluster, f and f' are tiny, and the absolute
+    2**-P error of a fixed-point f divided by a tiny f' would cost about ten
+    digits.
+
+    Returned ascending, as mpf in the precision of ``ctx``, once confirmed to
+    be m distinct roots: with h_i a quarter of the distance from root x_i to
+    its nearest neighbour, a Sturm count finds exactly i eigenvalues below
+    x_i - h_i and i + 1 below x_i + h_i, so every root brackets its own
+    eigenvalue and none is counted twice.  Otherwise ConvergenceError.
     """
     m = len(diag)
     if len(guesses) != m:
         raise DomainError(f"{len(guesses)} guesses for {m} eigenvalues")
-    diag = [ctx.mpf(d) for d in diag]
-    e2 = [ctx.mpf(e) ** 2 for e in off[: m - 1]]
-    scale = 1 + max(abs(d) for d in diag) + 2 * max((abs(ctx.mpf(e)) for e in off[: m - 1]), default=0)
-    tol = 4 * ctx.eps * scale
-    roots = []
-    for guess in guesses:
-        x, last = ctx.mpf(guess), None
-        for _ in range(_NEWTON_STEPS):
-            f, df = _charpoly(diag, e2, x)
-            if not df:
-                break
-            step = f / df
-            x -= step
-            if abs(step) <= tol or (last is not None and abs(step) > last / 2):
-                break
-            last = abs(step)
-        roots.append(x)
-    roots.sort()
-    for i, x in enumerate(roots):
-        h = min((abs(roots[k] - x) for k in (i - 1, i + 1) if 0 <= k < m), default=scale) / 4
-        if _count_below(diag, e2, x - h, ctx.eps) != i \
-                or _count_below(diag, e2, x + h, ctx.eps) != i + 1:
-            raise ConvergenceError(
-                f"refined eigenvalue {i} of {m} does not bracket its own eigenvalue "
-                f"at {ctx.dps} digits"
-            )
-    return roots
+    x, bits, _, bracketed = _refine(diag, off, guesses, ctx)
+    _require_bracketed(bracketed, ctx)
+    return [ctx.ldexp(t, -bits) for t in x]
 
 
 def _link_residuals_at(p, guesses, ctx):
     """(operator, eigenbasis) residuals of the link in the current precision
     of ``ctx`` (see ``link_residuals_hp``), and the refined eigenvalues."""
     diag, couplings = _window_coefficients(p, ctx)
+    m = len(diag)
+    x, bits, passes, bracketed = _refine(diag, couplings, guesses, ctx)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("polymap link n=%d K=%d L=%d %s: %d digits, %d working bits, "
+                  "%d Newton passes, %d of %d roots bracketed",
+                  p.n, p.K, p.L, p.parity.value, ctx.dps, bits, passes,
+                  int(bracketed.sum()), m)
+    _require_bracketed(bracketed, ctx)
+    one = 1 << bits
+    d, c = _fixed(diag, bits, ctx), _fixed(couplings, bits, ctx)
     e_rows = band_window_block(p, ctx)
-    e_cols = [[row[c] for row in e_rows] for c in range(len(diag))]
-    w = [ctx.fdot(col, e_cols[0]) for col in e_cols]
-    op_sq = eig = ctx.mpf(0)
-    roots = refine_eigenvalues(diag, couplings, guesses, ctx)
-    for t in roots:
-        r = _recurrence(diag, couplings, t)
-        norm = ctx.sqrt(ctx.fdot(r, r))
-        v = [x / norm for x in r]
-        ev = [ctx.fdot(row, v) for row in e_rows]
-        p_t = ctx.fdot(w, r)
-        eig = max(eig, abs(p_t - ctx.fdot(ev, ev)))
-        defect = [ctx.fdot(col, ev) - p_t * vi for col, vi in zip(e_cols, v)]
-        op_sq += ctx.fdot(defect, defect)
-    return max(float(ctx.sqrt(op_sq)), abs(float(couplings[-1]))), float(eig), roots
+    e = _fixed([v for row in e_rows for v in row], bits, ctx).reshape(len(e_rows), m)
+    # R_j(t_l) for every root at once, then unit columns v_l
+    r = np.empty((m, m), dtype=object)
+    r[0] = one
+    for j in range(m - 1):
+        nxt = (x - d[j]) * r[j]
+        if j:
+            nxt -= c[j - 1] * r[j - 1]
+        r[j + 1] = nxt // c[j]
+    norms = np.array([math.isqrt(s) for s in (r * r).sum(axis=0)], dtype=object)
+    v = (r << bits) // norms
+    ev = e.dot(v) >> bits
+    q = (ev * ev).sum(axis=0) >> bits
+    p_t = (e.T.dot(e[:, 0]) >> bits).dot(r) >> bits
+    defect = (e.T.dot(ev) >> bits) - (v * p_t >> bits)
+    # exact int / int divisions: float(2**P) overflows past ~300 digits
+    r_op = math.isqrt(int((defect * defect).sum())) / one
+    r_eig = int(np.abs(p_t - q).max()) / one
+    roots = [ctx.ldexp(t, -bits) for t in x]
+    return max(r_op, abs(float(couplings[-1]))), r_eig, roots
 
 
 def _starting_digits(p, diag, couplings, ts):
@@ -318,17 +399,24 @@ def _agree(first, second):
 
 
 def link_residuals_hp(p):
-    """Residuals of the spectral-link identity recomputed in mpmath, as a
-    ``LinkResiduals`` that unpacks as (operator, eigenbasis).
+    """Residuals of the spectral-link identity recomputed in high precision,
+    as a ``LinkResiduals`` that unpacks as (operator, eigenbasis).
 
     The derivative of the link polynomial at its own interpolation nodes can
     exceed 1e10 when the window nearly fills the subspace, so any pipeline
     consuming double-precision eigenvalues bottoms out far above rounding
     there.  This rebuilds the window block of the Heun operator and the
-    band x window block E at high precision, refines the window eigenvalues
-    t_l (``refine_eigenvalues``), and takes the eigenvectors v_l from the
-    recurrence, v_l proportional to (R_0(t_l), .., R_{m-1}(t_l)).  With
-    q_l = ||E v_l||^2 (unit v_l) it reports
+    band x window block E in an mpmath context, refines the window
+    eigenvalues t_l (``refine_eigenvalues``), and takes the eigenvectors v_l
+    from the recurrence, v_l proportional to (R_0(t_l), .., R_{m-1}(t_l)).
+
+    The arithmetic is fixed point: integers scaled by 2**P, P the context's
+    precision plus guard bits.  R is one m x m integer array, each column is
+    normalised by an integer square root, and E v and E^T (E v) are
+    object-array products, so each step is one pass over all l.  On unit
+    vectors the error is an absolute 2**-P per operation.  The residuals
+    leave as exact integer quotients, since 2**P overflows a float past
+    about 300 digits.  With q_l = ||E v_l||^2 (unit v_l) it reports
 
         eigenbasis = max_l |P(t_l) - q_l|
         operator   = (sum_l ||E^T E v_l - P(t_l) v_l||^2)^(1/2) = ||Q - P(T)||_F

@@ -379,6 +379,28 @@ class TestLogging:
                                    "level ")
             assert " Newton steps, residual " in line and ", u-spread " in line
 
+    def test_debug_logs_each_link_precision(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        args = [sys.executable, "-m", "tblim.cli", "verify", "--n", "24", "--K", "6",
+                "--L", "18", "--parity", "plus"]
+        quiet = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+        loud = subprocess.run(args, env=dict(env, TBLIM_LOG="debug"), capture_output=True,
+                              text=True, check=True)
+        assert quiet.stderr == ""
+        assert loud.stdout == quiet.stdout
+        subprocess.run(args + ["--out", str(tmp_path / "v.json")], env=env, check=True,
+                       capture_output=True)
+        doc = json.loads((tmp_path / "v.json").read_text())
+        note = {c["name"]: c["note"] for c in doc["checks"]}["polymap_operator_identity"]
+        digits = note[len("re-verified at "):-len(" digits")].split(" and ")
+        lines = [ln for ln in loud.stderr.splitlines() if "tblim DEBUG: polymap link " in ln]
+        assert len(lines) == len(digits) >= 2
+        for d, line in zip(digits, lines):
+            assert line.startswith(f"tblim DEBUG: polymap link n=24 K=6 L=18 plus: {d} digits, ")
+            assert " working bits, " in line and " Newton passes, " in line
+            assert line.endswith(", 19 of 19 roots bracketed")
+
     def test_info_logs_each_link_escalation(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
         args = [sys.executable, "-m", "tblim.cli", "verify", "--n", "24", "--K", "6",

@@ -264,6 +264,170 @@ class TestRefineEigenvalues:
                 refine_eigenvalues(diag, off, guesses, mpmath.mp)
 
 
+
+# A scalar mpf transcription of the oracle's earlier kernels: Newton on the
+# characteristic polynomial and its derivative, one root at a time, Sturm
+# counts one point at a time, and the residuals from mpf dot products.  The
+# fixed-point kernels of ``polymap`` are checked against it.
+
+def scalar_charpoly(diag, e2, x):
+    f_prev, f = 1, x - diag[0]
+    d_prev, d = 0, 1
+    for k in range(1, len(diag)):
+        f_prev, f, d_prev, d = (
+            f, (x - diag[k]) * f - e2[k - 1] * f_prev,
+            d, f + (x - diag[k]) * d - e2[k - 1] * d_prev,
+        )
+    return f, d
+
+
+def scalar_count_below(diag, e2, x, tiny):
+    count, u = 0, None
+    for k in range(len(diag)):
+        u = diag[k] - x - (e2[k - 1] / u if k else 0)
+        if not u:
+            u = tiny
+        if u < 0:
+            count += 1
+    return count
+
+
+def scalar_refine(diag, off, guesses, ctx):
+    m = len(diag)
+    diag = [ctx.mpf(d) for d in diag]
+    e2 = [ctx.mpf(e) ** 2 for e in off[: m - 1]]
+    scale = 1 + max(abs(d) for d in diag) + 2 * max((abs(ctx.mpf(e)) for e in off[: m - 1]), default=0)
+    tol = 4 * ctx.eps * scale
+    roots = []
+    for guess in guesses:
+        x, last = ctx.mpf(guess), None
+        for _ in range(40):
+            f, df = scalar_charpoly(diag, e2, x)
+            if not df:
+                break
+            step = f / df
+            x -= step
+            if abs(step) <= tol or (last is not None and abs(step) > last / 2):
+                break
+            last = abs(step)
+        roots.append(x)
+    roots.sort()
+    for i, x in enumerate(roots):
+        h = min((abs(roots[k] - x) for k in (i - 1, i + 1) if 0 <= k < m), default=scale) / 4
+        if scalar_count_below(diag, e2, x - h, ctx.eps) != i \
+                or scalar_count_below(diag, e2, x + h, ctx.eps) != i + 1:
+            raise ConvergenceError(f"refined eigenvalue {i} of {m} does not bracket")
+    return roots
+
+
+def scalar_link_residuals_at(p, guesses, ctx):
+    import tblim.polymap as polymap
+
+    diag, couplings = polymap._window_coefficients(p, ctx)
+    e_rows = polymap.band_window_block(p, ctx)
+    e_cols = [[row[c] for row in e_rows] for c in range(len(diag))]
+    w = [ctx.fdot(col, e_cols[0]) for col in e_cols]
+    op_sq = eig = ctx.mpf(0)
+    roots = scalar_refine(diag, couplings, guesses, ctx)
+    for t in roots:
+        r = polymap._recurrence(diag, couplings, t)
+        norm = ctx.sqrt(ctx.fdot(r, r))
+        v = [x / norm for x in r]
+        ev = [ctx.fdot(row, v) for row in e_rows]
+        p_t = ctx.fdot(w, r)
+        eig = max(eig, abs(p_t - ctx.fdot(ev, ev)))
+        defect = [ctx.fdot(col, ev) - p_t * vi for col, vi in zip(e_cols, v)]
+        op_sq += ctx.fdot(defect, defect)
+    return max(float(ctx.sqrt(op_sq)), abs(float(couplings[-1]))), float(eig), roots
+
+
+FIXED_POINT_CASES = [
+    (24, 6, 18, Parity.PLUS), (64, 16, 48, Parity.PLUS), (96, 16, 16, Parity.PLUS),
+    (96, 48, 12, Parity.PLUS), (12, 5, 7, Parity.MINUS),
+]
+
+
+class TestFixedPointOracle:
+    """The fixed-point kernels of ``link_residuals_hp`` against the scalar
+    mpf transcription above."""
+
+    @staticmethod
+    def assert_roots_match(block, guesses, digits):
+        """``block(ctx)`` gives the diagonal and off-diagonal in the precision
+        of ``ctx``."""
+        import mpmath
+
+        for dps in digits:
+            with mpmath.workdps(dps):
+                diag, off = block(mpmath.mp)
+                scale = 1 + max(abs(v) for v in diag) + 2 * max((abs(v) for v in off), default=0)
+                fixed = refine_eigenvalues(diag, off, guesses, mpmath.mp)
+                ref = scalar_refine(diag, off, guesses, mpmath.mp)
+                worst = max(abs(a - b) for a, b in zip(fixed, ref))
+                assert worst <= mpmath.mpf(10) ** -(dps - 5) * scale, (dps, worst)
+
+    @pytest.mark.parametrize("n,K,L,parity", FIXED_POINT_CASES)
+    def test_roots_match_scalar_newton(self, n, K, L, parity):
+        # where the window eigenvalues cluster ((96, 48, 12) and (96, 16, 16)),
+        # a fixed-point Newton on f and f' loses about ten digits; the pivot
+        # form must not
+        import tblim.polymap as polymap
+
+        p = make(n, K, L, parity)
+        m = p.time_rank
+        diag, couplings = polymap._window_coefficients(p)
+        guesses = np.linalg.eigvalsh(np.diag(diag) + np.diag(couplings[: m - 1], 1)
+                                     + np.diag(couplings[: m - 1], -1))
+
+        def block(ctx):
+            diag, couplings = polymap._window_coefficients(p, ctx)
+            return diag, couplings[: m - 1]
+
+        self.assert_roots_match(block, guesses, link_residuals_hp(p).digits)
+
+    def test_roots_match_scalar_newton_on_wilkinson(self):
+        diag, off = TestRefineEigenvalues.wilkinson(21)
+        guesses = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        self.assert_roots_match(lambda ctx: (diag, off), guesses, (30, 40, 60))
+
+    @pytest.mark.parametrize("n,K,L,parity", FIXED_POINT_CASES)
+    def test_same_verdicts_and_digits_as_scalar_route(self, monkeypatch, n, K, L, parity):
+        import tblim.polymap as polymap
+
+        p = make(n, K, L, parity)
+        res = link_residuals_hp(p)
+        monkeypatch.setattr(polymap, "_link_residuals_at", scalar_link_residuals_at)
+        ref = link_residuals_hp(p)
+        assert res.digits == ref.digits
+        for (digits, r_op, r_eig), (_, s_op, s_eig) in zip(res.trials, ref.trials):
+            assert (r_op < 1e-7, r_eig < 1e-8) == (s_op < 1e-7, s_eig < 1e-8)
+            assert abs(r_op - s_op) < 1e-30 and abs(r_eig - s_eig) < 1e-30, digits
+
+    def test_perturbed_block_fails_at_high_digits(self, monkeypatch):
+        # past ~300 digits 2**P no longer fits a float, so the residuals must
+        # come out of exact integer divisions
+        import tblim.polymap as polymap
+
+        exact = polymap.band_window_block
+
+        def perturbed(p, ctx=None):
+            e = exact(p, ctx)
+            if ctx is None:
+                e = e.copy()
+                e[0, 1] += 1e-6
+            else:
+                e[0][1] += ctx.mpf("1e-6")
+            return e
+
+        monkeypatch.setattr(polymap, "band_window_block", perturbed)
+        monkeypatch.setattr(polymap, "_starting_digits", lambda *args: 600)
+        res = link_residuals_hp(make(24, 6, 18, Parity.PLUS))
+        assert len(res.trials) >= 2 and min(res.digits) >= 600
+        for digits, r_op, r_eig in res.trials:
+            assert np.isfinite(r_op) and np.isfinite(r_eig)
+            assert r_op >= 1e-7 and r_eig >= 1e-8, (digits, r_op, r_eig)
+
+
 def test_import_leaves_mpmath_unloaded():
     import os
     import subprocess
