@@ -23,6 +23,11 @@ meaningful for roots with large imaginary part).  A candidate root set is
 accepted only if its eigenvalue formula is independent of the spectral
 parameter and matches a still-unmatched window eigenvalue.
 
+The dynamical operators D(u, m) and B(u, m) are combinations of the Leonard
+pair A, A*, {A, A*}, [A, A*] and I, all tridiagonal: each is held as a band
+(diagonal, upper, lower), and one routine applies an ordered list of band
+factors to the vacuum, at O(dim) per factor.
+
 The equations and the eigenvalue formula are numpy array expressions over
 the roots: the pair factors s(x_i -+ x_j -+ 1) form m x m arrays, the
 residuals take a stack of root sets (one call gives all 2m points of a
@@ -171,75 +176,100 @@ def g_fn(p, u, v, m):
 
 
 @functools.lru_cache(maxsize=1)
-def _pair_matrices(p):
-    """The Leonard pair A, A* and the products {A, A*} and [A, A*] as dense
-    read-only matrices, built once per instance.
+def _pair_bands(p):
+    """The Leonard pair as a read-only (4, dim) array, built once per
+    instance: the couplings of A, the diagonal of A*, and the upper
+    couplings of {A, A*} and [A, A*], each coupling row padded by a zero.
 
     A has a zero diagonal and A* is diagonal, so both products are
-    tridiagonal: with hopping weights a_j and diagonal s_j, the entry (j, j+1)
-    is a_j s_{j+1} + s_j a_j of the anticommutator and a_j s_{j+1} - s_j a_j
-    of the commutator.  They are formed entrywise in that order, which gives
-    the same numbers as the dense matrix products.
+    tridiagonal with a zero diagonal: with couplings a_j and diagonal s_j,
+    the entry (j, j+1) is a_j s_{j+1} + s_j a_j of the anticommutator and
+    a_j s_{j+1} - s_j a_j of the commutator, whose entry (j+1, j) is the
+    negative.  They are formed in that order, which gives the same numbers
+    as the dense matrix products.
     """
     a, astar = leonard_pair(p)
-    am = a.to_dense().entries
-    sm = astar.to_dense().entries
-    hop, s = a.offdiag, astar.diag
+    hop, s = a.offdiag.astype(complex), astar.diag.astype(complex)
     right, left = hop * s[1:], s[:-1] * hop     # (A A*)_{j,j+1}, (A* A)_{j,j+1}
-    rows = np.arange(p.dim - 1)
-    anti = np.zeros((p.dim, p.dim), dtype=complex)
-    comm = np.zeros((p.dim, p.dim), dtype=complex)
-    anti[rows, rows + 1] = anti[rows + 1, rows] = right + left
-    comm[rows, rows + 1] = right - left
-    comm[rows + 1, rows] = left - right
-    for m in (am, sm, anti, comm):
-        m.flags.writeable = False
-    return am, sm, anti, comm
+    bands = np.zeros((4, p.dim), dtype=complex)
+    bands[0, :-1], bands[1], bands[2, :-1], bands[3, :-1] = hop, s, right + left, right - left
+    bands.flags.writeable = False
+    return bands
+
+
+def _pair_combination(p, x, y, z, w, c):
+    """x A + y A* + z {A, A*} / (4 c(1)) + w [A, A*] / (4 s(1)) + c I as a
+    band: a (3, dim) array of the diagonal, the upper couplings (j, j+1) and
+    the lower couplings (j+1, j), each coupling row padded by a zero.
+
+    The terms are summed in this order, and each product divided after it is
+    formed, which gives the same numbers as the dense matrix expression.
+    """
+    hop, s, anti, comm = _pair_bands(p)
+    xa, za, wc = x * hop, z * anti / (4 * trig_c(p, 1)), w * comm / (4 * trig_s(p, 1))
+    return np.array([y * s + c, xa + wc + za, xa - wc + za])
+
+
+def _dense(p, band):
+    """The position-basis matrix of a band."""
+    diag, upper, lower = band
+    mat = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[:-1], -1)
+    return DenseOperator(mat, position_kind(p.parity))
+
+
+def _create(p, factors):
+    """Ordered product of band factors, first factor first, applied to the
+    vacuum: position 0 (symmetric) or position 1 (antisymmetric)."""
+    v = np.zeros(p.dim, dtype=complex)
+    v[0] = 1.0
+    for diag, upper, lower in reversed(factors):
+        out = diag * v
+        out[:-1] += upper[:-1] * v[1:]
+        out[1:] += lower[:-1] * v[:-1]
+        v = out
+    return v
+
+
+def _D_band(p, u, m):
+    den_u = _require(p, trig_s(p, 2 * u), f"s(2u) at u={u}")
+    den_m = _require(p, trig_s(p, 2 * m), f"s(2m) at m={m}")
+    band = _pair_combination(p, trig_c(p, 2 * m + 1), -trig_c(p, 2 * u - 2 * m), -1.0, 0.0,
+                             2 * trig_c(p, 2 * u))
+    return band / (den_u * den_m)
 
 
 def dyn_D(p, u, m):
     """Diagonal-type dynamical operator at spectral parameter u and integer
     dynamical parameter m; undefined when s(2u) or s(2m) vanishes (in
     particular m = 0 is rejected)."""
-    den_u = _require(p, trig_s(p, 2 * u), f"s(2u) at u={u}")
-    den_m = _require(p, trig_s(p, 2 * m), f"s(2m) at m={m}")
-    am, sm, anti, _ = _pair_matrices(p)
-    eye = np.eye(p.dim)
-    mat = (
-        trig_c(p, 2 * m + 1) * am
-        - trig_c(p, 2 * u - 2 * m) * sm
-        - anti / (4 * trig_c(p, 1))
-        + 2 * trig_c(p, 2 * u) * eye
-    ) / (den_u * den_m)
-    return DenseOperator(mat, position_kind(p.parity))
+    return _dense(p, _D_band(p, u, m))
 
 
 def _B_linear_parts(p, m):
-    """Matrices (M0, M1) with s(2m) B(u, m) = M0 + cos(pi*u/n) M1 for the
-    slot m; the product state is multilinear in the cosines of the roots."""
-    am, sm, anti, comm = _pair_matrices(p)
-    m0 = trig_c(p, 1) * am + trig_s(p, 2 * m) * comm / (4 * trig_s(p, 1)) \
-        - trig_c(p, 2 * m) * anti / (4 * trig_c(p, 1))
-    m1 = -sm + 2 * trig_c(p, 2 * m) * np.eye(p.dim)
+    """Bands (M0, M1) with s(2m) B(u, m) = M0 + cos(pi*u/n) M1 for the slot
+    m; the product state is multilinear in the cosines of the roots."""
+    c2m = trig_c(p, 2 * m)
+    m0 = _pair_combination(p, trig_c(p, 1), 0.0, -c2m, trig_s(p, 2 * m), 0.0)
+    m1 = _pair_combination(p, 0.0, -1.0, 0.0, 0.0, 2 * c2m)
     return m0, m1
 
 
-def _dyn_B_scaled(p, u, m):
-    """s(2m) * B(u, m): entire in m, used where a dynamical slot degenerates.
-
-    Rescaling a creation factor only rescales the Bethe state, so this form
-    is interchangeable with dyn_B wherever only the state's direction
-    matters.
-    """
+def _B_band(p, u, m, scaled=False):
+    """Band of B(u, m), undefined when s(2m) vanishes; with ``scaled`` that
+    of s(2m) B(u, m), entire in m, for a slot that degenerates.  Rescaling a
+    creation factor only rescales the Bethe state, so the scaled form serves
+    wherever only the state's direction matters."""
     m0, m1 = _B_linear_parts(p, m)
-    return m0 + trig_c(p, 2 * u) * m1
+    band = m0 + trig_c(p, 2 * u) * m1
+    if scaled:
+        return band
+    return band / _require(p, trig_s(p, 2 * m), f"s(2m) at m={m}")
 
 
 def dyn_B(p, u, m):
     """Creation-type dynamical operator; tridiagonal in the position basis.
     Undefined when s(2m) vanishes."""
-    den_m = _require(p, trig_s(p, 2 * m), f"s(2m) at m={m}")
-    return DenseOperator(_dyn_B_scaled(p, u, m) / den_m, position_kind(p.parity))
+    return _dense(p, _B_band(p, u, m))
 
 
 def check_dynamical_relations(p, u, v, m):
@@ -263,28 +293,22 @@ def check_dynamical_relations(p, u, v, m):
 
 def check_T_decomposition(p, u):
     """Max-norm residuals of the two dynamical decompositions of the Heun
-    operator, at dynamical parameters L and -L-1:
+    operator, at dynamical parameters L and -L-1, compared band by band:
 
         T = 2 c(2u) + Delta(u)   D(u, L)    + Delta(-u)  D(-u, L)
         T = 2 c(2u) + Delta(1-u) D(u, -L-1) + Delta(1+u) D(-u, -L-1)
     """
     from .operators import heun_tb
 
-    t = heun_tb(p).to_dense().entries
-    eye = np.eye(p.dim)
-    d = lambda uu, mm: dyn_D(p, uu, mm).entries
-    r1 = t - (2 * trig_c(p, 2 * u) * eye
-              + delta_fn(p, u) * d(u, p.L) + delta_fn(p, -u) * d(-u, p.L))
-    r2 = t - (2 * trig_c(p, 2 * u) * eye
-              + delta_fn(p, 1 - u) * d(u, -p.L - 1) + delta_fn(p, 1 + u) * d(-u, -p.L - 1))
-    mx = lambda x: float(np.max(np.abs(x))) if x.size else 0.0
-    return mx(r1), mx(r2)
+    t = heun_tb(p)
+    want = np.zeros((3, p.dim), dtype=complex)
+    want[0], want[1:, :-1] = t.diag - 2 * trig_c(p, 2 * u), t.offdiag
 
+    def residual(m, c_plus, c_minus):
+        return float(np.max(np.abs(want - c_plus * _D_band(p, u, m) - c_minus * _D_band(p, -u, m))))
 
-def _vacuum(p):
-    v = np.zeros(p.dim, dtype=complex)
-    v[0] = 1.0  # position 0 (symmetric) or position 1 (antisymmetric)
-    return v
+    return (residual(p.L, delta_fn(p, u), delta_fn(p, -u)),
+            residual(-p.L - 1, delta_fn(p, 1 - u), delta_fn(p, 1 + u)))
 
 
 def check_vacuum_action(p, u, m):
@@ -294,9 +318,9 @@ def check_vacuum_action(p, u, m):
         antisymmetric:  D(u,m)|1> = 2 s(2-2u)/s(2u) |1>
                                     - s(m-1)/(s(m+1) s(2u)) B(u,m)|1>
     """
-    vac = _vacuum(p)
-    dv = dyn_D(p, u, m).entries @ vac
-    bv = dyn_B(p, u, m).entries @ vac
+    vac = _create(p, [])
+    dv = _create(p, [_D_band(p, u, m)])
+    bv = _create(p, [_B_band(p, u, m)])
     s2u = _require(p, trig_s(p, 2 * u), f"s(2u) at u={u}")
     if p.parity is Parity.PLUS:
         rhs = -2.0 * vac - bv / s2u
@@ -330,6 +354,11 @@ def _check_roots(variant, L, roots):
     return roots
 
 
+def _creation_factors(p, variant, roots):
+    """The B bands of a Bethe state, first factor first."""
+    return [_B_band(p, x, m) for x, m in zip(roots, bethe_slots(variant, p.L))]
+
+
 def bethe_state(p, variant, roots):
     """Ordered product of creation factors applied to the vacuum.
 
@@ -340,11 +369,7 @@ def bethe_state(p, variant, roots):
     if variant.parity is not p.parity:
         raise DomainError(f"{variant.value} ansatz requires parity {variant.parity.value}")
     roots = _check_roots(variant, p.L, roots)
-    v = _vacuum(p)
-    slots = bethe_slots(variant, p.L)
-    for x, m in zip(roots[::-1], slots[::-1]):
-        v = dyn_B(p, x, m).entries @ v
-    return SignalVector(v, position_kind(p.parity))
+    return SignalVector(_create(p, _creation_factors(p, variant, roots)), position_kind(p.parity))
 
 
 def check_offshell_action(p, u, roots):
@@ -354,8 +379,9 @@ def check_offshell_action(p, u, roots):
     if p.parity is not Parity.MINUS:
         raise DomainError("off-shell expansion applies to the antisymmetric ansatz")
     roots = _check_roots(AnsatzVariant.MINUS_FIRST, p.L, roots)
-    vstate = bethe_state(p, AnsatzVariant.MINUS_FIRST, roots).coeffs
-    lhs = dyn_D(p, u, p.L).entries @ vstate
+    factors = _creation_factors(p, AnsatzVariant.MINUS_FIRST, roots)
+    vstate = _create(p, factors)
+    lhs = _create(p, [_D_band(p, u, p.L)] + factors)
     s = lambda x: trig_s(p, x)
     rhs = 2 * s(2 - 2 * u) / s(2 * u) * np.prod([f_fn(p, u, x) for x in roots]) * vstate
     for j in range(roots.size):
@@ -398,11 +424,8 @@ def check_reduction_formula(p, ybar, u_slot_last=True):
     cleared = abs(s4l) < _POLE_TOL
 
     slots = [-p.L - 1 - i for i in range(p.L)]
-    v = _vacuum(p)
-    last = _dyn_B_scaled(p, order[-1], slots[-1]) if cleared else dyn_B(p, order[-1], slots[-1]).entries
-    v = last @ v
-    for x, m in zip(order[:-1][::-1], slots[:-1][::-1]):
-        v = dyn_B(p, x, m).entries @ v
+    v = _create(p, [_B_band(p, x, m, scaled=cleared and i == p.L - 1)
+                    for i, (x, m) in enumerate(zip(order, slots))])
 
     total = np.zeros_like(v)
     for j in range(p.L):
@@ -601,9 +624,14 @@ _U_PROBES = np.array(
 
 def _u_samples(p, roots, count=7):
     """Generic spectral-parameter samples, nudged off any pole of the
-    eigenvalue formula for these roots.  Each probe moves by the same step,
-    at most 12 times, until s(2u) and every s(u -+ x_i) is at least 1e-4."""
-    u = _U_PROBES[:count].copy()
+    eigenvalue formula for these roots.
+
+    The probes sit 0.25 n up the imaginary axis, away from the strings of
+    roots near the real axis, among which every factor of the formula nearly
+    vanishes and a root error of 1e-10 reads as a u-spread above 1e-8.  Each
+    probe moves by the same step, at most 12 times, until s(2u) and every
+    s(u -+ x_i) is at least 1e-4."""
+    u = _U_PROBES[:count] + 0.25j * p.n
     for _ in range(12):
         near = np.minimum(np.abs(trig_s(p, u[:, None] + roots)),
                           np.abs(trig_s(p, u[:, None] - roots)))
@@ -632,12 +660,8 @@ def _state_basis(p, variant):
     """
     parts = [_B_linear_parts(p, m) for m in bethe_slots(variant, p.L)]
     m = len(parts)
-    cols = []
-    for k in range(m + 1):
-        v = _vacuum(p)
-        for i in reversed(range(m)):
-            v = parts[i][1 if i < k else 0] @ v
-        cols.append(v[: m + 1])
+    cols = [_create(p, [part[1 if i < k else 0] for i, part in enumerate(parts)])[: m + 1]
+            for k in range(m + 1)]
     return np.column_stack(cols)
 
 

@@ -15,13 +15,12 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bethe import AnsatzVariant, solve_bethe
 from .core_model import ModelParams, Parity
-from .errors import SupportError, TblimError
+from .errors import TblimError
 from .operators import heun_tb, heun_tb_momentum, leonard_pair, projector_band, projector_time, tb_operator
 from .recon import reconstruct_signal
 from .serialize import canonical_json, csv_lines, pack_operator, unpack_operator
@@ -35,34 +34,18 @@ EXIT_FAILURE = 1
 EXIT_INPUT = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int
-    K: int
-    L: int
-    parity: Parity | None
-    ansatz: str | None
-    fmt: str
-    out: str | None
-    seed: int
-    tol: float | None
-    signal: str | None
-    operators: str | None
-    sweep: str | None
+def _params(args, parity=None):
+    return ModelParams(n=args.n, K=args.K, L=args.L, parity=parity or Parity(args.parity))
 
-    def params(self, parity=None):
-        parity = parity or self.parity
-        if parity is None:
-            raise TblimError("this command requires --parity")
-        return ModelParams(n=self.n, K=self.K, L=self.L, parity=parity)
 
-    def params_dict(self):
-        return {
-            "n": self.n, "K": self.K, "L": self.L,
-            "parity": self.parity.value if self.parity else "both",
-            "seed": self.seed,
-        }
+def _params_dict(args):
+    """The instance settings echoed in every output document; ``seed`` only
+    where the command reads it."""
+    doc = {"n": args.n, "K": args.K, "L": args.L,
+           "parity": getattr(args, "parity", None) or "both"}
+    if hasattr(args, "seed"):
+        doc["seed"] = args.seed
+    return doc
 
 
 def _setup_logging():
@@ -72,9 +55,9 @@ def _setup_logging():
                         format="tblim %(levelname)s: %(message)s")
 
 
-def _write(cfg, text):
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _write(args, text):
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -94,11 +77,11 @@ def _operators(p):
     }
 
 
-def cmd_build(cfg):
-    p = cfg.params()
+def cmd_build(args):
+    p = _params(args)
     payloads = {name: pack_operator(op) for name, op in _operators(p).items()}
-    doc = {"command": "build", "params": cfg.params_dict(), "operators": payloads}
-    _write(cfg, canonical_json(doc))
+    doc = {"command": "build", "params": _params_dict(args), "operators": payloads}
+    _write(args, canonical_json(doc))
     return EXIT_OK
 
 
@@ -115,39 +98,39 @@ def _parse_sweep(expr, n):
     return m.group(1), list(range(lo, hi + 1))
 
 
-def cmd_spectrum(cfg):
-    if cfg.sweep:
-        var, values = _parse_sweep(cfg.sweep, cfg.n)
-        base = {"n": cfg.n, "K": cfg.K, "L": cfg.L, "parity": cfg.parity}
+def cmd_spectrum(args):
+    if args.sweep:
+        var, values = _parse_sweep(args.sweep, args.n)
+        base = {"n": args.n, "K": args.K, "L": args.L, "parity": Parity(args.parity)}
         results = [(v, _spectrum_rows(ModelParams(**{**base, var: v}))) for v in values]
-        if cfg.fmt == "csv":
+        if args.fmt == "csv":
             rows = [(v, *row) for v, per in results for row in per]
-            _write(cfg, csv_lines([var, "ell", "t", "q", "residual"], rows))
+            _write(args, csv_lines([var, "ell", "t", "q", "residual"], rows))
         else:
-            doc = {"command": "spectrum_sweep", "params": cfg.params_dict(), "sweep": cfg.sweep,
+            doc = {"command": "spectrum_sweep", "params": _params_dict(args), "sweep": args.sweep,
                    "results": [{"value": v,
                                 "modes": [{"ell": e, "t": t, "q": q, "residual": r}
                                           for e, t, q, r in per]}
                                for v, per in results]}
-            _write(cfg, canonical_json(doc))
+            _write(args, canonical_json(doc))
         return EXIT_OK
-    rows = _spectrum_rows(cfg.params())
-    if cfg.fmt == "csv":
-        _write(cfg, csv_lines(["ell", "t", "q", "residual"], rows))
+    rows = _spectrum_rows(_params(args))
+    if args.fmt == "csv":
+        _write(args, csv_lines(["ell", "t", "q", "residual"], rows))
     else:
-        doc = {"command": "spectrum", "params": cfg.params_dict(),
+        doc = {"command": "spectrum", "params": _params_dict(args),
                "modes": [{"ell": e, "t": t, "q": q, "residual": r} for e, t, q, r in rows]}
-        _write(cfg, canonical_json(doc))
+        _write(args, canonical_json(doc))
     return EXIT_OK
 
 
-def _compare_stored(cfg, p, checks):
+def _compare_stored(args, p, checks):
     try:
-        with open(cfg.operators) as fh:
+        with open(args.operators) as fh:
             stored = json.load(fh)
         payloads = stored["operators"]
     except (OSError, ValueError, KeyError) as exc:
-        raise TblimError(f"cannot read operator file {cfg.operators!r}: {exc}") from exc
+        raise TblimError(f"cannot read operator file {args.operators!r}: {exc}") from exc
     fresh = _operators(p)
     from .verify import CheckResult
 
@@ -166,11 +149,11 @@ def _compare_stored(cfg, p, checks):
             checks.append(CheckResult(f"stored_{name}", np.inf, 1e-15, False, note=str(exc)))
 
 
-def cmd_verify(cfg):
-    p = cfg.params()
-    checks = run_suite(p, np.random.default_rng(cfg.seed))
-    if cfg.operators:
-        _compare_stored(cfg, p, checks)
+def cmd_verify(args):
+    p = _params(args)
+    checks = run_suite(p, np.random.default_rng(args.seed))
+    if args.operators:
+        _compare_stored(args, p, checks)
     for c in checks:
         if c.skipped:
             print(f"SKIP {c.name} ({c.note})")
@@ -179,7 +162,7 @@ def cmd_verify(cfg):
             print(f"{word} {c.name} residual={c.residual:.3e} tol={c.tolerance:.1e}")
     payload = {
         "command": "verify",
-        "params": cfg.params_dict(),
+        "params": _params_dict(args),
         "checks": [
             {"name": c.name, "residual": c.residual, "tolerance": c.tolerance,
              "passed": c.passed, "skipped": c.skipped, "note": c.note}
@@ -187,31 +170,31 @@ def cmd_verify(cfg):
         ],
         "all_passed": all(c.passed for c in checks),
     }
-    if cfg.out:
-        _write(cfg, canonical_json(payload))
+    if args.out:
+        _write(args, canonical_json(payload))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_FAILURE
 
 
-def cmd_bethe(cfg):
-    if cfg.ansatz is None:
+def cmd_bethe(args):
+    if args.ansatz is None:
         raise TblimError("bethe requires --ansatz {first,second,plus}")
-    variant = AnsatzVariant(cfg.ansatz)
-    p = cfg.params(variant.parity)
-    if cfg.parity is not None and cfg.parity is not variant.parity:
-        raise TblimError(f"ansatz {cfg.ansatz!r} lives on parity {variant.parity.value}")
-    result = solve_bethe(p, variant) if cfg.tol is None \
-        else solve_bethe(p, variant, residual_tol=cfg.tol)
+    variant = AnsatzVariant(args.ansatz)
+    p = _params(args, variant.parity)
+    if args.parity not in (None, variant.parity.value):
+        raise TblimError(f"ansatz {args.ansatz!r} lives on parity {variant.parity.value}")
+    result = solve_bethe(p, variant) if args.tol is None \
+        else solve_bethe(p, variant, residual_tol=args.tol)
     rows = []
     for rs in result.root_sets:
         roots = ";".join(f"{x.real:.17g}{x.imag:+.17g}j" for x in rs.roots)
         rows.append((rs.level, rs.eigenvalue.real, rs.t_spectral,
                      abs(rs.eigenvalue.real - rs.t_spectral), rs.residual, rs.u_spread, roots))
-    if cfg.fmt == "csv":
-        _write(cfg, csv_lines(
+    if args.fmt == "csv":
+        _write(args, csv_lines(
             ["ell", "t_bethe", "t_spectral", "abs_dt", "residual", "u_spread", "roots"], rows))
     else:
         doc = {
-            "command": "bethe", "params": cfg.params_dict(), "ansatz": variant.value,
+            "command": "bethe", "params": _params_dict(args), "ansatz": variant.value,
             "levels": [
                 {"ell": rs.level, "t_bethe": rs.eigenvalue.real, "t_spectral": rs.t_spectral,
                  "abs_dt": abs(rs.eigenvalue.real - rs.t_spectral),
@@ -223,7 +206,7 @@ def cmd_bethe(cfg):
             "extra_matches": result.extra_matches,
             "starts_used": result.starts_used,
         }
-        _write(cfg, canonical_json(doc))
+        _write(args, canonical_json(doc))
     if result.missing_levels:
         log.error("unmatched window levels: %s", result.missing_levels)
         return EXIT_FAILURE
@@ -259,11 +242,11 @@ def _read_signal_csv(path, n):
     return values
 
 
-def cmd_reconstruct(cfg):
-    if not cfg.signal:
+def cmd_reconstruct(args):
+    if not args.signal:
         raise TblimError("reconstruct requires --signal PATH")
-    values = _read_signal_csv(cfg.signal, cfg.n)
-    rep_plus, rep_minus, f_hat = reconstruct_signal(values, cfg.n, cfg.K, cfg.L, cfg.tol)
+    values = _read_signal_csv(args.signal, args.n)
+    rep_plus, rep_minus, f_hat = reconstruct_signal(values, args.n, args.K, args.L, args.tol)
 
     def report_doc(rep):
         return {
@@ -278,14 +261,14 @@ def cmd_reconstruct(cfg):
     nrm = float(np.linalg.norm(values))
     doc = {
         "command": "reconstruct",
-        "params": cfg.params_dict(),
+        "params": _params_dict(args),
         "plus": report_doc(rep_plus),
         "minus": report_doc(rep_minus),
         "f_hat": [[z.real, z.imag] for z in f_hat],
         "residual_norm": err,
         "relative_error": err / nrm if nrm else 0.0,
     }
-    _write(cfg, canonical_json(doc))
+    _write(args, canonical_json(doc))
     return EXIT_OK
 
 
@@ -295,8 +278,11 @@ def build_parser():
     unchanged."""
     ap = argparse.ArgumentParser(prog="tblim", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("build", "spectrum", "verify", "bethe", "reconstruct"):
+    handlers = {"build": cmd_build, "spectrum": cmd_spectrum, "verify": cmd_verify,
+                "bethe": cmd_bethe, "reconstruct": cmd_reconstruct}
+    for name, handler in handlers.items():
         sp = sub.add_parser(name)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--K", type=int, required=True)
         sp.add_argument("--L", type=int, required=True)
@@ -307,12 +293,12 @@ def build_parser():
         if name in ("spectrum", "bethe"):
             sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=0)
         if name in ("bethe", "reconstruct"):
             sp.add_argument("--tol", type=float, default=None)
         if name == "spectrum":
             sp.add_argument("--sweep", default=None, help="K=a..b or L=a..b")
         if name == "verify":
+            sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--operators", default=None, help="built operator file to re-check")
         if name == "reconstruct":
             sp.add_argument("--signal", default=None, help="CSV signal file: index,re,im")
@@ -321,34 +307,9 @@ def build_parser():
 
 def main(argv=None):
     _setup_logging()
-    args = vars(build_parser().parse_args(argv))
-    parity = args.get("parity")
-    cfg = RunConfig(
-        command=args["command"],
-        n=args["n"], K=args["K"], L=args["L"],
-        parity=Parity(parity) if parity else None,
-        ansatz=args.get("ansatz"),
-        fmt=args.get("fmt", "json"),
-        out=args["out"],
-        seed=args["seed"],
-        tol=args.get("tol"),
-        signal=args.get("signal"),
-        operators=args.get("operators"),
-        sweep=args.get("sweep"),
-    )
-    handlers = {
-        "build": cmd_build,
-        "spectrum": cmd_spectrum,
-        "verify": cmd_verify,
-        "bethe": cmd_bethe,
-        "reconstruct": cmd_reconstruct,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[cfg.command](cfg)
-    except SupportError as exc:
-        log.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return args.handler(args)
     except TblimError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

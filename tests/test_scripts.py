@@ -1,6 +1,7 @@
-"""Smoke tests: every script in scripts/ runs on a small problem and prints
-its CSV header and rows."""
+"""Smoke tests: every script in scripts/ runs on a small problem and writes
+its header and rows."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,3 +35,15 @@ def test_concentration_sweep():
     lines = out.stdout.splitlines()
     assert lines[0].startswith("parity,K,L,")
     assert len(lines) > 1
+
+
+def test_bethe_completeness(tmp_path):
+    out_file = tmp_path / "grid.jsonl"
+    out = run_script("bethe_completeness.py", "--max-n", "6", "--out", str(out_file))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("instances ")
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert records and all(set(r) >= {"n", "K", "L", "ansatz", "rank"} for r in records)
+    solved = [r for r in records if "error" not in r]
+    assert solved and all(r["missing"] == [] for r in solved)
+    assert all(1 <= r["rank"] <= 7 for r in records)
