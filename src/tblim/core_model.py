@@ -14,6 +14,10 @@ The builders of the model's numbers (``rho``, ``grid_cos``, ``fourier_block``)
 take an optional numeric context: ``None`` computes in double precision with
 numpy, an mpmath context (``mpmath.mp``) in its current precision, so the
 high-precision checks reuse the very formulas of the double-precision ones.
+``rho`` and ``grid_cos`` take a label (an integer) or an integer array of
+labels in either context; with an mpmath context an array gives a numpy
+object array of mpf, so the formulas built on them run unchanged over whole
+label ranges.
 """
 
 from __future__ import annotations
@@ -101,13 +105,13 @@ class ModelParams:
 
     @property
     def time_rank(self):
-        """Rank of the time-window projector."""
-        return sum(1 for j in self.indices if j <= self.L)
+        """Rank of the time-window projector: the number of labels j <= L."""
+        return self.L + 1 if self.parity is Parity.PLUS else min(self.L, self.n - 1)
 
     @property
     def band_rank(self):
-        """Rank of the band projector."""
-        return sum(1 for k in self.indices if k <= self.K)
+        """Rank of the band projector: the number of labels k <= K."""
+        return self.K + 1 if self.parity is Parity.PLUS else min(self.K, self.n - 1)
 
     def row_of(self, j):
         """Matrix row of position/momentum label ``j``."""
@@ -128,24 +132,25 @@ def trig_c(p, x):
 
 
 def grid_cos(p, ctx=None):
-    """The function x -> cos(pi*x/(2n)) for integer grid-unit x.
+    """The function x -> cos(pi*x/(2n)) for integer grid-unit x, a scalar or
+    an integer array.
 
     With ``ctx=None`` it is ``trig_c``.  With an mpmath context the values
     come from a table of cos(pi*r/(2n)), r = 0..n, built once in the
-    context's precision; x is reduced mod 4n and folded by the exact
-    symmetries cos(-y) = cos(y) and cos(pi - y) = -cos(y), so no
-    high-precision trig call is made per entry.
+    context's precision and unfolded over one period by the exact
+    symmetries cos(-y) = cos(y) and cos(pi - y) = -cos(y); x is reduced
+    mod 4n and read from it, so no high-precision trig call is made per
+    entry.  An array x gives an object array of the same shape.
     """
     if ctx is None:
         return lambda x: trig_c(p, x)
     n = p.n
-    table = [ctx.cospi(ctx.mpf(r) / (2 * n)) for r in range(n + 1)]
+    quarter = [ctx.cospi(ctx.mpf(r) / (2 * n)) for r in range(n + 1)]
+    half = quarter + [-v for v in quarter[-2::-1]]
+    period = np.array(half + half[-2:0:-1], dtype=object)
 
     def cos(x):
-        r = int(x) % (4 * n)
-        if r > 2 * n:
-            r = 4 * n - r
-        return table[r] if r <= n else -table[2 * n - r]
+        return period[np.asarray(x) % (4 * n)]
 
     return cos
 
@@ -153,15 +158,19 @@ def grid_cos(p, ctx=None):
 def rho(p, j, ctx=None):
     """Boundary weight: sqrt(2) at j in {0, n}, 1 inside, 0 at j in {-1, n+1}.
 
-    ``ctx`` is an mpmath context for sqrt(2) in its precision, or ``None``.
+    ``j`` is a label or an integer array of labels; a label outside
+    -1..n+1 raises.  ``ctx`` is an mpmath context for sqrt(2) in its
+    precision, or ``None``; with a context an array gives an object array.
     """
-    if j in (0, p.n):
-        return math.sqrt(2.0) if ctx is None else ctx.sqrt(2)
-    if 1 <= j <= p.n - 1:
-        return 1.0
-    if j in (-1, p.n + 1):
-        return 0.0
-    raise DomainError(f"rho undefined for j={j} (n={p.n})")
+    j = np.asarray(j)
+    outside = (j < -1) | (j > p.n + 1)
+    if outside.any():
+        raise DomainError(f"rho undefined for j={j[outside].flat[0]} (n={p.n})")
+    root2 = math.sqrt(2.0) if ctx is None else ctx.sqrt(2)
+    table = np.full(p.n + 3, 1.0, dtype=float if ctx is None else object)
+    table[0] = table[-1] = 0.0
+    table[1] = table[-2] = root2
+    return table[j + 1]
 
 
 @dataclass
@@ -266,7 +275,7 @@ def _position_support(p):
     js = np.array(p.indices)
     mirror = (2 * p.n - js) % (2 * p.n)
     if p.parity is Parity.PLUS:
-        value = np.array([1.0 / (rho(p, j) * math.sqrt(2.0)) for j in p.indices])
+        value = 1.0 / (rho(p, js) * math.sqrt(2.0))
         return js, mirror, value, value
     value = np.full(js.size, 1.0 / math.sqrt(2.0))
     return js, mirror, value, -value
@@ -294,13 +303,10 @@ def momentum_basis(p):
     excluded, so the returned family is genuinely orthonormal.
     """
     x = _ambient_grid(p)
-    rows = np.zeros((p.dim, 2 * p.n))
-    for r, k in enumerate(p.indices):
-        if p.parity is Parity.PLUS:
-            rows[r] = np.cos(np.pi * k * x / p.n) / (rho(p, k) * math.sqrt(p.n))
-        else:
-            rows[r] = np.sin(np.pi * k * x / p.n) / math.sqrt(p.n)
-    return rows
+    ks = np.array(p.indices)[:, None]
+    if p.parity is Parity.PLUS:
+        return np.cos(np.pi * ks * x / p.n) / (rho(p, ks) * math.sqrt(p.n))
+    return np.sin(np.pi * ks * x / p.n) / math.sqrt(p.n)
 
 
 def fourier_block(p, ks, js, ctx=None):
@@ -310,25 +316,24 @@ def fourier_block(p, ks, js, ctx=None):
     Entry (k, j) is the overlap of momentum vector k with position vector j:
     sqrt(2/n) * cos(pi*k*j/n) / (rho(k)*rho(j)) on the symmetric subspace and
     sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one.  With an mpmath
-    context the block is a list of rows of mpf, cos(pi*k*j/n) read from
+    context the block is an object array of mpf, cos(pi*k*j/n) read from
     ``grid_cos`` at 2kj and sin(pi*k*j/n) at 2kj - n.
     """
+    ks = np.array(ks, dtype=int)[:, None]
+    js = np.array(js, dtype=int)
     if ctx is not None:
         cos = grid_cos(p, ctx)
         scale = ctx.sqrt(ctx.mpf(2) / p.n)
+        # the array comes first: an mpf on the left would first try, and
+        # fail, to convert the whole array, formatting it for the error
         if p.parity is Parity.PLUS:
-            return [[scale * cos(2 * k * j) / (rho(p, k, ctx) * rho(p, j, ctx)) for j in js]
-                    for k in ks]
-        return [[scale * cos(2 * k * j - p.n) for j in js] for k in ks]
-    ks = np.array(ks, dtype=float)
-    js = np.array(js, dtype=float)
+            return cos(2 * ks * js) * scale / (rho(p, ks, ctx) * rho(p, js, ctx))
+        return cos(2 * ks * js - p.n) * scale
     if p.parity is Parity.PLUS:
-        rho_k = np.array([rho(p, int(k)) for k in ks])
-        rho_j = np.array([rho(p, int(j)) for j in js])
-        f = np.sqrt(2.0 / p.n) * np.cos(np.pi * ks[:, None] * js / p.n)
-        f /= rho_k[:, None] * rho_j[None, :]
+        f = np.sqrt(2.0 / p.n) * np.cos(np.pi * ks * js / p.n)
+        f /= rho(p, ks) * rho(p, js)
     else:
-        f = np.sqrt(2.0 / p.n) * np.sin(np.pi * ks[:, None] * js / p.n)
+        f = np.sqrt(2.0 / p.n) * np.sin(np.pi * ks * js / p.n)
     return f
 
 

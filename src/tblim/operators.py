@@ -1,11 +1,14 @@
 """Projectors, the time-band limiting operator, Leonard pairs, and the
 commuting algebraic Heun operators.
 
-Everything is materialized as an explicit matrix in the (n+1)- or
-(n-1)-dimensional parity coordinates; sizes are tiny, and explicit matrices
-keep every algebraic identity directly checkable.  Position-basis matrices
-index rows by the subspace labels (0..n symmetric, 1..n-1 antisymmetric),
-momentum-basis matrices likewise.
+Operators live in the (n+1)- or (n-1)-dimensional parity coordinates:
+the Leonard pair and the Heun operators as tridiagonal operators, the
+projectors and the time-band operator as dense matrices, which keep every
+algebraic identity directly checkable.  Their entries are built over whole
+label arrays at once: ``heun_coefficients`` returns functions that take a
+label or an integer array of labels, in double precision or in an mpmath
+context.  Position-basis matrices index rows by the subspace labels (0..n
+symmetric, 1..n-1 antisymmetric), momentum-basis matrices likewise.
 """
 
 from __future__ import annotations
@@ -46,24 +49,26 @@ __all__ = [
 ]
 
 
+def _keep(p, limit):
+    """0/1 over the subspace labels, 1 on labels <= limit."""
+    return (np.array(p.indices) <= limit).astype(float)
+
+
 def projector_time(p):
     """Time-window projector: diagonal 0/1 in the position basis, keeping
     labels j <= L."""
-    d = np.array([1.0 if j <= p.L else 0.0 for j in p.indices], dtype=complex)
-    return DenseOperator(np.diag(d), position_kind(p.parity), hermitian=True)
+    return DenseOperator(np.diag(_keep(p, p.L)), position_kind(p.parity), hermitian=True)
 
 
 def projector_band_momentum(p):
     """Band projector in its own eigenbasis: diagonal 0/1 keeping k <= K."""
-    d = np.array([1.0 if k <= p.K else 0.0 for k in p.indices], dtype=complex)
-    return DenseOperator(np.diag(d), momentum_kind(p.parity), hermitian=True)
+    return DenseOperator(np.diag(_keep(p, p.K)), momentum_kind(p.parity), hermitian=True)
 
 
 def projector_band(p):
     """Band projector expressed in the position basis."""
     f = fourier_matrix(p).entries
-    d = np.array([1.0 if k <= p.K else 0.0 for k in p.indices])
-    m = f.T @ (d[:, None] * f)
+    m = f.T @ (_keep(p, p.K)[:, None] * f)
     return DenseOperator(m, position_kind(p.parity), hermitian=True)
 
 
@@ -88,18 +93,15 @@ def leonard_pair(p):
     rho(j) * rho(j+1); on the antisymmetric one they are all 1 with absorbing
     zero boundaries.  Returned in the position basis, where A* is diagonal.
     """
-    idx = p.indices
+    idx = np.array(p.indices)
     diag_a = np.zeros(p.dim)
     if p.parity is Parity.PLUS:
-        off_a = np.array([rho(p, j) * rho(p, j + 1) for j in idx[:-1]])
+        off_a = rho(p, idx[:-1]) * rho(p, idx[:-1] + 1)
     else:
-        off_a = np.ones(max(p.dim - 1, 0))
+        off_a = np.ones(p.dim - 1)
     a = TridiagonalOperator(diag_a, off_a, position_kind(p.parity))
-    astar = TridiagonalOperator(
-        np.array([2.0 * trig_c(p, 2 * j) for j in idx]),
-        np.zeros(max(p.dim - 1, 0)),
-        position_kind(p.parity),
-    )
+    astar = TridiagonalOperator(2.0 * trig_c(p, 2 * idx), np.zeros(p.dim - 1),
+                                position_kind(p.parity))
     return a, astar
 
 
@@ -128,11 +130,13 @@ def heun_coefficients(p, side="position", ctx=None):
     """Tridiagonal action coefficients of the Heun operator, keyed by label.
 
     Returns functions (a, b, c) with a(j) the amplitude j -> j-1, b(j) the
-    diagonal, c(j) the amplitude j -> j+1; a(j+1) == c(j).  ``side`` selects
-    the position-basis coefficients (band limit K in the diagonal) or their
-    momentum mirrors (roles of K and L exchanged).  ``ctx`` selects the
-    arithmetic: ``None`` for double precision, an mpmath context for its
-    current precision (see ``core_model.grid_cos``).
+    diagonal, c(j) the amplitude j -> j+1; a(j+1) == c(j).  Each takes a
+    label or an integer array of labels and evaluates elementwise.
+    ``side`` selects the position-basis coefficients (band limit K in the
+    diagonal) or their momentum mirrors (roles of K and L exchanged).
+    ``ctx`` selects the arithmetic: ``None`` for double precision, an mpmath
+    context for its current precision, where an array of labels gives an
+    object array of mpf (see ``core_model.grid_cos``).
     """
     if side == "position":
         kk, ll = p.K, p.L
@@ -148,8 +152,10 @@ def heun_coefficients(p, side="position", ctx=None):
     def a(j):
         return weight(j - 1) * weight(j) * (cos(2 * j - 1) - cos_l)
 
+    # cos(2j) comes first: an mpf on the left of an object array would first
+    # try, and fail, to convert the whole array, formatting it for the error
     def b(j):
-        return -2.0 * cos_k * cos(2 * j)
+        return cos(2 * j) * (-2.0 * cos_k)
 
     def c(j):
         return weight(j) * weight(j + 1) * (cos(2 * j + 1) - cos_l)
@@ -158,12 +164,10 @@ def heun_coefficients(p, side="position", ctx=None):
 
 
 def _heun_tridiagonal(p, side):
-    a_fn, b_fn, c_fn = heun_coefficients(p, side)
-    idx = p.indices
-    diag = np.array([b_fn(j) for j in idx])
-    off = np.array([c_fn(j) for j in idx[:-1]])
+    _, b, c = heun_coefficients(p, side)
+    idx = np.array(p.indices)
     kind = position_kind(p.parity) if side == "position" else momentum_kind(p.parity)
-    return TridiagonalOperator(diag, off, kind)
+    return TridiagonalOperator(b(idx), c(idx[:-1]), kind)
 
 
 def heun_tb(p):

@@ -78,9 +78,10 @@ def _window_coefficients(p, ctx=None):
     off-diagonal of the window block; the last one is the window-edge
     coupling, which vanishes identically.  An interior coupling below 1e-14
     (L = n on the symmetric subspace) raises a degeneracy error.
-    ``ctx`` is the numeric context of ``heun_coefficients``; in double
-    precision (``ctx=None``) the result is a pair of read-only arrays built
-    once per instance.
+    ``ctx`` is the numeric context of ``heun_coefficients``: in double
+    precision (``ctx=None``) the result is a pair of read-only float arrays
+    built once per instance, in an mpmath context a pair of object arrays of
+    mpf.
     """
     if ctx is None:
         return _double_window_coefficients(p)
@@ -89,7 +90,7 @@ def _window_coefficients(p, ctx=None):
 
 @functools.lru_cache(maxsize=32)
 def _double_window_coefficients(p):
-    return tuple(_read_only(np.array(values, dtype=float)) for values in _window_rows(p))
+    return tuple(_read_only(values) for values in _window_rows(p))
 
 
 def _read_only(a):
@@ -98,18 +99,17 @@ def _read_only(a):
 
 
 def _window_rows(p, ctx=None):
-    """The lists behind ``_window_coefficients``, in the arithmetic of
+    """The arrays behind ``_window_coefficients``, in the arithmetic of
     ``ctx``."""
     a, b, _ = heun_coefficients(p, "position", ctx)
-    window = p.indices[: p.time_rank]
-    diag = [b(j) for j in window]
-    couplings = [a(j + 1) for j in window]
-    for step, a_next in enumerate(couplings[:-1]):
-        if abs(float(a_next)) < 1e-14:
-            raise DegeneracyError(
-                f"vanishing leading recurrence coefficient at step {step} "
-                f"(n={p.n}, L={p.L}, parity={p.parity.value})"
-            )
+    window = np.array(p.indices)[: p.time_rank]
+    diag, couplings = b(window), a(window + 1)
+    vanishing = np.flatnonzero(np.abs(couplings[:-1].astype(float)) < 1e-14)
+    if vanishing.size:
+        raise DegeneracyError(
+            f"vanishing leading recurrence coefficient at step {vanishing[0]} "
+            f"(n={p.n}, L={p.L}, parity={p.parity.value})"
+        )
     return diag, couplings
 
 
@@ -356,8 +356,8 @@ def _link_residuals_at(p, guesses, ctx):
     _require_bracketed(bracketed, ctx)
     one = 1 << bits
     d, c = _fixed(diag, bits, ctx), _fixed(couplings, bits, ctx)
-    e_rows = band_window_block(p, ctx)
-    e = _fixed([v for row in e_rows for v in row], bits, ctx).reshape(len(e_rows), m)
+    e_mp = band_window_block(p, ctx)
+    e = _fixed(e_mp.ravel(), bits, ctx).reshape(e_mp.shape)
     # R_j(t_l) for every root at once, then unit columns v_l
     r = np.empty((m, m), dtype=object)
     r[0] = one

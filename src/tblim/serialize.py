@@ -28,10 +28,8 @@ __all__ = [
 
 
 def format_float(x):
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return "%.17g" % x
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    return "%.17g" % (float(x) + 0.0)
 
 
 def _json_float(x):
@@ -47,33 +45,50 @@ def _float_array(a):
     return items[0]
 
 
+def _json_str(s):
+    out = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{out}"'
+
+
+# the dict and list handlers look up the handler of each value themselves,
+# which saves a call to ``_emit`` per value
+def _json_dict(d):
+    get = _EMITTERS.get
+    return "{" + ",".join([_json_str(str(k)) + ":" + get(type(v), _emit_other)(v)
+                           for k, v in sorted(d.items())]) + "}"
+
+
+def _json_list(items):
+    get = _EMITTERS.get
+    return "[" + ",".join([get(type(v), _emit_other)(v) for v in items]) + "]"
+
+
+# handlers by exact type; numpy values and subclasses take ``_emit_other``
+_EMITTERS = {
+    float: _json_float,
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+    complex: lambda z: "[%s,%s]" % (_json_float(z.real), _json_float(z.imag)),
+    str: _json_str,
+    dict: _json_dict,
+    list: _json_list,
+    tuple: _json_list,
+}
+
+
 def _emit(obj):
-    if type(obj) is float:
-        return _json_float(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _json_float(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return "[%s,%s]" % (_json_float(obj.real), _json_float(obj.imag))
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(f'{_emit(str(k))}:{_emit(v)}' for k, v in items) + "}"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.size:
-            return _float_array(obj)
+    return _EMITTERS.get(type(obj), _emit_other)(obj)
+
+
+def _emit_other(obj):
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.size:
+        return _float_array(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
         return _emit(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
+    for base in (int, float, complex, str, dict, list, tuple):
+        if isinstance(obj, base):
+            return _EMITTERS[base](base(obj))
     raise DomainError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -312,14 +312,10 @@ def joint_spectrum(p):
             f"joint eigenvector residual {worst:.3e} exceeds 1e-10; "
             "the Heun block spectrum is not resolving the time-band operator"
         )
-    modes = []
-    for i in range(dim):
-        v = np.zeros(p.dim, dtype=complex)
-        v[:dim] = vectors[:, i]
-        modes.append(
-            JointMode(t=float(values[i]), q=float(qs[i]),
-                      vector=SignalVector(v, position_kind(p.parity)),
-                      residual=float(residuals[i]))
-        )
+    padded = np.zeros((dim, p.dim), dtype=complex)
+    padded[:, :dim] = vectors.T
+    kind = position_kind(p.parity)
+    modes = [JointMode(t=t, q=q, vector=SignalVector(v, kind), residual=r)
+             for t, q, v, r in zip(values.tolist(), qs.tolist(), padded, residuals.tolist())]
     modes.sort(key=lambda m: (-m.q, m.t))
     return modes

@@ -59,6 +59,22 @@ class TestBuild:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("argv,digest", [
+        (["--parity", "plus"], "a11adf4373a8a10a3928c90b5686efb81d3f3df5b6ed9c40127c0bbd35f12f94"),
+        (["--parity", "minus"], "43fc1fa35d38c3f4bd9af8ae654a9ced3f1d149006f0803a70827a7c58fdccf0"),
+        (["--parity", "plus", "--sweep", "K=0..n"],
+         "621b1f7e004d35703c1f1cea6dc7460d0da1eb6d746842fc9f0d9f7c41a1bec7"),
+        (["--parity", "minus", "--sweep", "K=0..n"],
+         "34e414a9892b2f29914a7af03b5f603095aa6d019ea251ef5eaf2d9dc856bf9d"),
+    ])
+    def test_bytes_frozen_at_n48(self, tmp_path, argv, digest):
+        import hashlib
+
+        out = tmp_path / "spectrum.json"
+        assert main(["spectrum", "--n", "48", "--K", "12", "--L", "24", *argv,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_csv_shape_and_order(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "6", "--K", "2", "--L", "3",
                            "--parity", "plus", "--format", "csv")

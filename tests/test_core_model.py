@@ -61,6 +61,16 @@ class TestModelParams:
         assert p.time_rank == 2  # positions 1, 2
         assert p.band_rank == 1  # momentum 1
 
+    def test_rank_closed_forms_count_labels(self):
+        # time_rank reads only L and band_rank only K, so K = L = x covers
+        # every value of each
+        for n in range(1, 65):
+            for parity in (Parity.PLUS, Parity.MINUS) if n >= 2 else (Parity.PLUS,):
+                for x in range(n + 1):
+                    p = make(n, x, x, parity)
+                    assert p.time_rank == sum(1 for j in p.indices if j <= p.L)
+                    assert p.band_rank == sum(1 for k in p.indices if k <= p.K)
+
 
 class TestTrig:
     def test_s_quarter_period(self):
@@ -120,6 +130,25 @@ class TestRho:
             rho(p, 7)
         with pytest.raises(DomainError):
             rho(p, -2)
+
+    @pytest.mark.parametrize("labels", [[0, 3, 7], [-2, 0, 1], [[1, 2], [6, 8]]])
+    def test_array_with_out_of_range_label_raises(self, labels):
+        import mpmath
+
+        p = make(5, 0, 0, Parity.PLUS)
+        for ctx in (None, mpmath.mp):
+            with pytest.raises(DomainError):
+                rho(p, np.array(labels), ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_array_matches_scalar(self, n):
+        import mpmath
+
+        p = make(n, 0, 0, Parity.PLUS)
+        js = np.arange(-1, n + 2)
+        assert rho(p, js).tolist() == [rho(p, int(j)) for j in js]
+        with mpmath.workdps(30):
+            assert list(rho(p, js, mpmath.mp)) == [rho(p, int(j), mpmath.mp) for j in js]
 
 
 class TestBases:
@@ -227,3 +256,92 @@ class TestNumericContext:
             dense = np.array(block, dtype=float).reshape(p.band_rank, p.time_rank)
             # double precision evaluates cos(pi*k*j/n) at arguments up to ~n*pi
             assert mx(dense - band_window_block(p)) < 1e-14
+
+
+class TestGridCosArrays:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    def test_array_matches_scalar(self, n):
+        import mpmath
+
+        from tblim.core_model import grid_cos
+
+        p = make(n, 0, 0, Parity.PLUS)
+        xs = np.arange(-5 * n, 5 * n + 1)
+        cos = grid_cos(p)
+        assert cos(xs).tobytes() == np.array([cos(int(x)) for x in xs]).tobytes()
+        with mpmath.workdps(40):
+            cos = grid_cos(p, mpmath.mp)
+            values = cos(xs)
+            assert values.dtype == object and values.shape == xs.shape
+            assert list(values) == [cos(int(x)) for x in xs]
+            assert cos(xs[1:].reshape(2, -1)).tolist() == values[1:].reshape(2, -1).tolist()
+
+
+def scalar_fold_cos(n, ctx):
+    """cos(pi*x/(2n)) for one integer x from a table over 0..n folded by the
+    symmetries of the cosine, one label at a time: the reference for the
+    object-array builders."""
+    table = [ctx.cospi(ctx.mpf(r) / (2 * n)) for r in range(n + 1)]
+
+    def cos(x):
+        r = int(x) % (4 * n)
+        if r > 2 * n:
+            r = 4 * n - r
+        return table[r] if r <= n else -table[2 * n - r]
+
+    return cos
+
+
+def scalar_rho(n, j, ctx):
+    if j in (0, n):
+        return ctx.sqrt(2)
+    return 1.0 if 1 <= j <= n - 1 else 0.0
+
+
+class TestObjectArrayBuilders:
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    @pytest.mark.parametrize("n,K,L", [(7, 3, 5), (12, 12, 11), (16, 0, 16)])
+    def test_fourier_block_equals_scalar_mpf(self, n, K, L, parity):
+        import mpmath
+
+        from tblim.core_model import band_window_block
+
+        p = make(n, K, L, parity)
+        labels = p.indices
+        with mpmath.workdps(35):
+            ctx = mpmath.mp
+            block = band_window_block(p, ctx)
+            cos = scalar_fold_cos(n, ctx)
+            scale = ctx.sqrt(ctx.mpf(2) / n)
+            if parity is Parity.PLUS:
+                want = [[scale * cos(2 * k * j) / (scalar_rho(n, k, ctx) * scalar_rho(n, j, ctx))
+                         for j in labels[: p.time_rank]] for k in labels[: p.band_rank]]
+            else:
+                want = [[scale * cos(2 * k * j - n) for j in labels[: p.time_rank]]
+                        for k in labels[: p.band_rank]]
+            assert block.shape == (p.band_rank, p.time_rank)
+            assert block.tolist() == want
+
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    @pytest.mark.parametrize("side", ["position", "momentum"])
+    def test_heun_coefficients_equal_scalar_mpf(self, parity, side):
+        import mpmath
+
+        from tblim.operators import heun_coefficients
+
+        for n, K, L in ((2, 1, 2), (9, 3, 5), (16, 16, 0), (23, 7, 22)):
+            p = make(n, K, L, parity)
+            kk, ll = (K, L) if side == "position" else (L, K)
+            labels = np.array(p.indices)
+            with mpmath.workdps(30):
+                ctx = mpmath.mp
+                a, b, c = heun_coefficients(p, side, ctx)
+                cos = scalar_fold_cos(n, ctx)
+                weight = (lambda j: scalar_rho(n, j, ctx)) if parity is Parity.PLUS \
+                    else (lambda j: 1.0)
+                cos_k, cos_l = cos(2 * kk + 1), cos(2 * ll + 1)
+                assert list(b(labels)) == [-2.0 * cos_k * cos(2 * j) for j in p.indices]
+                assert list(a(labels)) == [weight(j - 1) * weight(j) * (cos(2 * j - 1) - cos_l)
+                                           for j in p.indices]
+                assert list(c(labels)) == [weight(j) * weight(j + 1) * (cos(2 * j + 1) - cos_l)
+                                           for j in p.indices]

@@ -280,3 +280,43 @@ class TestHeunCoefficientsContext:
                         assert abs(f_hp(j) - f_dbl(j)) < 1e-14
                 edge = p.L + 1 if side == "position" else p.K + 1
                 assert hp[0](edge) == 0
+
+
+def scalar_heun_rows(p, side):
+    """Diagonal and off-diagonal of the Heun operator from the scalar
+    formula, one numpy cosine per label: the reference for the array
+    builder."""
+    kk, ll = (p.K, p.L) if side == "position" else (p.L, p.K)
+    n = p.n
+
+    def cos(x):
+        return np.cos(np.pi * x / (2 * n))
+
+    def weight(j):
+        if p.parity is Parity.MINUS:
+            return 1.0
+        if j in (0, n):
+            return math.sqrt(2.0)
+        return 1.0 if 1 <= j <= n - 1 else 0.0
+
+    cos_k, cos_l = cos(2 * kk + 1), cos(2 * ll + 1)
+    diag = [-2.0 * cos_k * cos(2 * j) for j in p.indices]
+    off = [weight(j) * weight(j + 1) * (cos(2 * j + 1) - cos_l) for j in p.indices[:-1]]
+    return np.array(diag, dtype=float), np.array(off, dtype=float)
+
+
+class TestHeunCoefficientArrays:
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    @pytest.mark.parametrize("side", ["position", "momentum"])
+    def test_double_bitwise_equal_to_scalar_formula(self, parity, side):
+        # the diagonal reads only the band limit of its side and the
+        # off-diagonal only the window limit, so (K, L) = (x, n - x) covers
+        # every value of each
+        build = heun_tb if side == "position" else heun_tb_momentum
+        for n in range(1 if parity is Parity.PLUS else 2, 65):
+            for x in range(n + 1):
+                p = make(n, x, n - x, parity)
+                t = build(p)
+                diag, off = scalar_heun_rows(p, side)
+                assert t.diag.tobytes() == diag.tobytes(), (n, x)
+                assert t.offdiag.tobytes() == off.tobytes(), (n, x)

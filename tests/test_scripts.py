@@ -47,3 +47,20 @@ def test_bethe_completeness(tmp_path):
     solved = [r for r in records if "error" not in r]
     assert solved and all(r["missing"] == [] for r in solved)
     assert all(1 <= r["rank"] <= 7 for r in records)
+
+
+def test_cli_digest(tmp_path):
+    out_file = tmp_path / "digests.jsonl"
+    out = run_script("cli_digest.py", "--max-n", "4", "--out", str(out_file))
+    assert out.returncode == 0, out.stderr
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert out.stdout == f"invocations {len(records)}\n"
+    commands = {r["argv"][0] for r in records}
+    assert commands == {"build", "spectrum", "verify", "reconstruct"}
+    assert any("--sweep" in r["argv"] for r in records)
+    assert all("--out" not in r["argv"] for r in records)
+    written = [r for r in records if r["exit"] == 0]
+    assert written and all(len(r["sha256"]) == 64 for r in written)
+    again = tmp_path / "again.jsonl"
+    assert run_script("cli_digest.py", "--max-n", "4", "--out", str(again)).returncode == 0
+    assert again.read_bytes() == out_file.read_bytes()

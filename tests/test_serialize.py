@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tblim.core_model import BasisKind, DenseOperator, ModelParams, Parity
+from tblim.errors import DomainError
 from tblim.operators import tb_operator
 from tblim.serialize import canonical_json, csv_lines, format_float, pack_operator, unpack_operator
 from tblim.verify import run_suite
@@ -29,6 +30,29 @@ class TestCanonicalJson:
 
     def test_csv_keeps_non_finite_text(self):
         assert csv_lines(["x"], [(float("inf"),)]) == "x\ninf\n"
+
+    def test_numpy_bools(self):
+        assert canonical_json(np.True_) == "true\n"
+        assert canonical_json({"passed": np.bool_(False), "all": [np.True_]}) == \
+            '{"all":[true],"passed":false}\n'
+
+    def test_numpy_scalars_and_subclasses_match_builtins(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            TWO = 2
+
+        class Doc(dict):
+            pass
+
+        doc = {"i": np.int64(-3), "f": np.float32(0.5), "g": np.float64(-0.0),
+               "e": Level.TWO, "d": Doc(b=(1,), a="x"), "arr": np.array([[1, 2]])}
+        assert canonical_json(doc) == \
+            '{"arr":[[1,2]],"d":{"a":"x","b":[1]},"e":2,"f":0.5,"g":0,"i":-3}\n'
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(DomainError):
+            canonical_json({"x": object()})
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
