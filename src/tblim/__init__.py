@@ -61,6 +61,14 @@ from .recon import (
     reconstruct,
     reconstruct_signal,
 )
-from .spectral import JointMode, Spectrum, eig_sym_dense, eig_sym_tridiag, joint_spectrum, svd_E
+from .spectral import (
+    JointMode,
+    Spectrum,
+    eig_sym_dense,
+    eig_sym_tridiag,
+    eigvals_sym_tridiag,
+    joint_spectrum,
+    svd_E,
+)
 
 __version__ = "0.1.0"

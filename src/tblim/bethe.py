@@ -26,7 +26,9 @@ parameter and matches a still-unmatched window eigenvalue.
 The dynamical operators D(u, m) and B(u, m) are combinations of the Leonard
 pair A, A*, {A, A*}, [A, A*] and I, all tridiagonal: each is held as a band
 (diagonal, upper, lower), and one routine applies an ordered list of band
-factors to the vacuum, at O(dim) per factor.
+factors to the vacuum, at O(dim) per factor.  The exchange relations compare
+products of two such operators, pentadiagonal bands formed in O(dim); no
+dense matrix is built.
 
 The equations and the eigenvalue formula are numpy array expressions over
 the roots: the pair factors s(x_i -+ x_j -+ 1) form m x m arrays, the
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import (
-    DenseOperator,
     Parity,
     SignalVector,
     position_kind,
@@ -63,8 +64,6 @@ __all__ = [
     "delta_fn",
     "f_fn",
     "g_fn",
-    "dyn_D",
-    "dyn_B",
     "check_dynamical_relations",
     "check_T_decomposition",
     "check_vacuum_action",
@@ -210,13 +209,6 @@ def _pair_combination(p, x, y, z, w, c):
     return np.array([y * s + c, xa + wc + za, xa - wc + za])
 
 
-def _dense(p, band):
-    """The position-basis matrix of a band."""
-    diag, upper, lower = band
-    mat = np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[:-1], -1)
-    return DenseOperator(mat, position_kind(p.parity))
-
-
 def _create(p, factors):
     """Ordered product of band factors, first factor first, applied to the
     vacuum: position 0 (symmetric) or position 1 (antisymmetric)."""
@@ -236,13 +228,6 @@ def _D_band(p, u, m):
     band = _pair_combination(p, trig_c(p, 2 * m + 1), -trig_c(p, 2 * u - 2 * m), -1.0, 0.0,
                              2 * trig_c(p, 2 * u))
     return band / (den_u * den_m)
-
-
-def dyn_D(p, u, m):
-    """Diagonal-type dynamical operator at spectral parameter u and integer
-    dynamical parameter m; undefined when s(2u) or s(2m) vanishes (in
-    particular m = 0 is rejected)."""
-    return _dense(p, _D_band(p, u, m))
 
 
 def _B_linear_parts(p, m):
@@ -266,29 +251,40 @@ def _B_band(p, u, m, scaled=False):
     return band / _require(p, trig_s(p, 2 * m), f"s(2m) at m={m}")
 
 
-def dyn_B(p, u, m):
-    """Creation-type dynamical operator; tridiagonal in the position basis.
-    Undefined when s(2m) vanishes."""
-    return _dense(p, _B_band(p, u, m))
+def _band_product(x, y):
+    """The product of two (3, dim) bands as a (5, dim) pentadiagonal band:
+    the diagonal, the couplings (j, j+1) and (j+1, j), then (j, j+2) and
+    (j+2, j), each coupling row padded by zeros at its end.  Each entry sums
+    its terms in ascending order of the inner index."""
+    xd, xu, xl = x
+    yd, yu, yl = y
+    out = np.zeros((5, xd.size), dtype=np.result_type(x, y))
+    out[0] = xd * yd
+    out[0, 1:] = xl[:-1] * yu[:-1] + out[0, 1:]
+    out[0] += xu * yl
+    out[1, :-1] = xd[:-1] * yu[:-1] + xu[:-1] * yd[1:]
+    out[2, :-1] = xl[:-1] * yd[:-1] + xd[1:] * yl[:-1]
+    out[3, :-2] = xu[:-2] * yu[1:-1]
+    out[4, :-2] = xl[1:-1] * yl[:-2]
+    return out
 
 
 def check_dynamical_relations(p, u, v, m):
-    """Max-norm residuals of the two exchange relations:
+    """Max-norm residuals of the two exchange relations, evaluated on bands:
 
         B(u,m) B(v,m-1) = B(v,m) B(u,m-1)
         D(u,m) B(v,m)   = f(u,v) B(v,m) D(u,m-1)
                           + B(u,m) [g(u,v,m) D(v,m-1) + g(u,-v,m) D(-v,m-1)]
     """
-    b = lambda uu, mm: dyn_B(p, uu, mm).entries
-    d = lambda uu, mm: dyn_D(p, uu, mm).entries
-    r_bb = b(u, m) @ b(v, m - 1) - b(v, m) @ b(u, m - 1)
+    b_um, b_vm = _B_band(p, u, m), _B_band(p, v, m)
+    r_bb = _band_product(b_um, _B_band(p, v, m - 1)) - _band_product(b_vm, _B_band(p, u, m - 1))
     r_db = (
-        d(u, m) @ b(v, m)
-        - f_fn(p, u, v) * b(v, m) @ d(u, m - 1)
-        - b(u, m) @ (g_fn(p, u, v, m) * d(v, m - 1) + g_fn(p, u, -v, m) * d(-v, m - 1))
+        _band_product(_D_band(p, u, m), b_vm)
+        - f_fn(p, u, v) * _band_product(b_vm, _D_band(p, u, m - 1))
+        - _band_product(b_um, g_fn(p, u, v, m) * _D_band(p, v, m - 1)
+                        + g_fn(p, u, -v, m) * _D_band(p, -v, m - 1))
     )
-    mx = lambda x: float(np.max(np.abs(x))) if x.size else 0.0
-    return mx(r_bb), mx(r_db)
+    return float(np.max(np.abs(r_bb), initial=0.0)), float(np.max(np.abs(r_db), initial=0.0))
 
 
 def check_T_decomposition(p, u):

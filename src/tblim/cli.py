@@ -15,6 +15,7 @@ import logging
 import os
 import re
 import sys
+import time
 
 import numpy as np
 
@@ -102,18 +103,25 @@ def cmd_spectrum(args):
     if args.sweep:
         var, values = _parse_sweep(args.sweep, args.n)
         base = {"n": args.n, "K": args.K, "L": args.L, "parity": Parity(args.parity)}
-        results = [(v, _spectrum_rows(ModelParams(**{**base, var: v}))) for v in values]
+        results, errors = {}, {}
+        for v in values:
+            try:
+                results[v] = _spectrum_rows(ModelParams(**{**base, var: v}))
+            except TblimError as exc:
+                log.error("sweep %s=%d: %s", var, v, exc)
+                errors[v] = str(exc)
         if args.fmt == "csv":
-            rows = [(v, *row) for v, per in results for row in per]
+            rows = [(v, *row) for v, per in results.items() for row in per]
             _write(args, csv_lines([var, "ell", "t", "q", "residual"], rows))
         else:
+            entries = [{"value": v, "error": errors[v]} if v in errors else
+                       {"value": v, "modes": [{"ell": e, "t": t, "q": q, "residual": r}
+                                              for e, t, q, r in results[v]]}
+                       for v in values]
             doc = {"command": "spectrum_sweep", "params": _params_dict(args), "sweep": args.sweep,
-                   "results": [{"value": v,
-                                "modes": [{"ell": e, "t": t, "q": q, "residual": r}
-                                          for e, t, q, r in per]}
-                               for v, per in results]}
+                   "results": entries}
             _write(args, canonical_json(doc))
-        return EXIT_OK
+        return EXIT_INPUT if errors else EXIT_OK
     rows = _spectrum_rows(_params(args))
     if args.fmt == "csv":
         _write(args, csv_lines(["ell", "t", "q", "residual"], rows))
@@ -264,7 +272,7 @@ def cmd_reconstruct(args):
         "params": _params_dict(args),
         "plus": report_doc(rep_plus),
         "minus": report_doc(rep_minus),
-        "f_hat": [[z.real, z.imag] for z in f_hat],
+        "f_hat": np.stack((f_hat.real, f_hat.imag), -1),
         "residual_norm": err,
         "relative_error": err / nrm if nrm else 0.0,
     }
@@ -308,12 +316,16 @@ def build_parser():
 def main(argv=None):
     _setup_logging()
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        code = args.handler(args)
     except TblimError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        code = EXIT_INPUT
+    log.info("%s n=%d K=%d L=%d %s: exit %d, %.3f s", args.command, args.n, args.K, args.L,
+             _params_dict(args)["parity"], code, time.perf_counter() - t0)
+    return code
 
 
 if __name__ == "__main__":

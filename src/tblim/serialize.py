@@ -37,10 +37,18 @@ def _json_float(x):
 
 
 def _float_array(a):
-    """A nonempty float array as nested JSON lists: every entry formatted in
-    one pass, then grouped innermost axis first."""
-    items = list(map(_json_float, a.ravel().tolist()))
-    for width in reversed(a.shape):
+    """A nonempty float array as nested JSON lists.  Each distinct innermost
+    row is formatted once (an operator payload is mostly [0,0] pairs), then
+    the rows are gathered and grouped outward, innermost axis first.  Adding
+    0.0 merges -0.0 into 0.0, which formats the same."""
+    width = a.shape[-1]
+    rows = np.ascontiguousarray(a.reshape(-1, width), dtype=float) + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = ["[" + ",".join(map(_json_float, row)) + "]"
+             for row in distinct.view(float).reshape(-1, width).tolist()]
+    items = [texts[i] for i in inverse.tolist()]
+    for width in reversed(a.shape[:-1]):
         items = ["[" + ",".join(items[i:i + width]) + "]" for i in range(0, len(items), width)]
     return items[0]
 

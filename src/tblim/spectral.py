@@ -8,7 +8,9 @@ LAPACK and reads each concentration off the band x window Fourier block; the
 SVD factors that same block, so no n x n matrix is formed on either route.
 The bisection solver, which calls no LAPACK eigensolver, and the dense
 solver are kept as independent oracles that the tests and the verification
-suite compare the production route against.
+suite compare the production route against.  The bisection solver's values
+stage is also a function of its own, for callers that compare eigenvalues
+only and so need no inverse iteration.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "SingularTriplets",
     "JointMode",
     "eig_sym_tridiag",
+    "eigvals_sym_tridiag",
     "eig_sym_dense",
     "svd_E",
     "joint_spectrum",
@@ -201,6 +204,32 @@ def _inverse_iteration(d, e, values):
     return x
 
 
+def _sturm_values(t):
+    """The values stage of ``eig_sym_tridiag``: the split at exactly zero
+    couplings, every eigenvalue by bisection (``_bisect_block``), and the
+    simplicity check.  Returns the eigenvalues in the order of the diagonal
+    (each block's ascending), the ascending permutation and the unreduced
+    blocks as (lo, hi) ranges."""
+    if not isinstance(t, TridiagonalOperator):
+        raise DomainError("expected a TridiagonalOperator")
+    d, off = t.diag, t.offdiag
+    values = d.copy()
+    bounds = np.concatenate(([0], np.flatnonzero(off == 0.0) + 1, [t.dim]))
+    blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo > 1]
+    for lo, hi in blocks:
+        values[lo:hi] = _bisect_block(d[lo:hi], off[lo:hi - 1])
+    order = np.argsort(values, kind="stable")
+    _check_simple(t, values[order])
+    return values, order, blocks
+
+
+def eigvals_sym_tridiag(t):
+    """Ascending eigenvalues of a symmetric tridiagonal operator by bisection
+    on Sturm counts: ``eig_sym_tridiag`` without the eigenvectors."""
+    values, order, _ = _sturm_values(t)
+    return values[order]
+
+
 def eig_sym_tridiag(t):
     """Full spectrum of a symmetric tridiagonal operator by bisection on
     Sturm counts and inverse iteration.
@@ -215,18 +244,9 @@ def eig_sym_tridiag(t):
     nonzero) its eigenvalues are mathematically simple; that simplicity is
     asserted and a degenerate numerical spectrum raises.
     """
-    if not isinstance(t, TridiagonalOperator):
-        raise DomainError("expected a TridiagonalOperator")
-    n = t.dim
+    values, order, blocks = _sturm_values(t)
     d, off = t.diag, t.offdiag
-    values = d.copy()
-    vectors = np.eye(n)
-    bounds = np.concatenate(([0], np.flatnonzero(off == 0.0) + 1, [n]))
-    blocks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo > 1]
-    for lo, hi in blocks:
-        values[lo:hi] = _bisect_block(d[lo:hi], off[lo:hi - 1])
-    order = np.argsort(values, kind="stable")
-    _check_simple(t, values[order])
+    vectors = np.eye(t.dim)
     for lo, hi in blocks:
         vectors[lo:hi, lo:hi] = _inverse_iteration(d[lo:hi], off[lo:hi - 1], values[lo:hi])
     values, vectors = values[order], vectors[:, order]
@@ -258,10 +278,7 @@ def eig_sym_dense(m):
     if not m.hermitian:
         raise DomainError("eig_sym_dense requires the hermitian flag")
     values, vectors = np.linalg.eigh(m.entries)
-    residuals = np.array(
-        [float(np.linalg.norm(m.entries @ vectors[:, i] - values[i] * vectors[:, i]))
-         for i in range(m.dim)]
-    )
+    residuals = np.linalg.norm(m.entries @ vectors - vectors * values, axis=0)
     return Spectrum(values, vectors, residuals, m.basis)
 
 

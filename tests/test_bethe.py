@@ -3,8 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tblim.bethe as bethe
 from tblim.bethe import (
     AnsatzVariant,
+    _B_band,
+    _band_product,
+    _D_band,
     _eigenvalue_profile,
     _roots_admissible,
     _u_samples,
@@ -20,8 +24,6 @@ from tblim.bethe import (
     check_T_decomposition,
     check_vacuum_action,
     delta_fn,
-    dyn_B,
-    dyn_D,
     f_fn,
     g_fn,
     solve_bethe,
@@ -38,6 +40,14 @@ def mx(a):
 
 def make(n, K, L, parity):
     return ModelParams(n=n, K=K, L=L, parity=parity)
+
+
+def dense_of(band):
+    """The matrix of a (3, dim) band or a (5, dim) pentadiagonal band."""
+    mat = np.diag(band[0])
+    for k, (upper, lower) in enumerate(zip(band[1::2], band[2::2]), start=1):
+        mat = mat + np.diag(upper[:-k], k) + np.diag(lower[:-k], -k)
+    return mat
 
 
 class TestScalars:
@@ -79,25 +89,25 @@ class TestScalars:
 
 
 class TestDynamicalOperators:
-    def test_creation_operator_tridiagonal(self):
+    def test_bands_padded_by_zero_couplings(self):
         p = make(7, 3, 4, Parity.MINUS)
-        b = dyn_B(p, 0.3 + 0.4j, -4).entries
-        assert mx(np.triu(b, 2)) < 1e-13
-        assert mx(np.tril(b, -2)) < 1e-13
+        for band in (_B_band(p, 0.3 + 0.4j, -4), _D_band(p, 0.3 + 0.4j, -4)):
+            assert band.shape == (3, p.dim)
+            assert not np.any(band[1:, -1])
 
     def test_zero_dynamical_parameter_rejected(self):
         p = make(6, 2, 3, Parity.PLUS)
         with pytest.raises(PoleError):
-            dyn_D(p, 0.3, 0)
+            _D_band(p, 0.3, 0)
 
     def test_degenerate_slot_rejected(self):
         p = make(6, 2, 3, Parity.MINUS)
         with pytest.raises(PoleError):
-            dyn_B(p, 0.3, -6)  # sin(pi m / n) = 0
+            _B_band(p, 0.3, -6)  # sin(pi m / n) = 0
 
     def test_window_edge_matrix_element_vanishes(self):
         p = make(8, 3, 4, Parity.MINUS)
-        b = dyn_B(p, 0.77 + 0.3j, -p.L - 1).entries
+        b = dense_of(_B_band(p, 0.77 + 0.3j, -p.L - 1))
         # row of position L+1, column of position L
         assert abs(b[p.row_of(p.L + 1), p.row_of(p.L)]) < 1e-13
 
@@ -120,6 +130,58 @@ class TestDynamicalOperators:
         r1, _ = check_dynamical_relations(p, 0.37, 1.21, 3)
         r2, _ = check_dynamical_relations(p, 1.21, 0.37, 3)
         assert r1 == pytest.approx(r2, abs=1e-12)
+
+
+class TestBandProduct:
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_equals_dense_product(self, parity):
+        rng = np.random.default_rng(23)
+        for n in range(2, 41):
+            p = make(n, 1, 1, parity)
+            ms = [k for k in range(-2 * n, 2 * n)
+                  if abs(trig_s(p, 2 * k)) > 1e-9 and abs(trig_s(p, 2 * k - 2)) > 1e-9]
+            for _ in range(2 if ms else 0):
+                u = complex(rng.uniform(0.2, 0.8), rng.uniform(-0.4, 0.4))
+                v = complex(rng.uniform(0.9, 1.7), rng.uniform(-0.3, 0.3))
+                m = int(rng.choice(ms))
+                noise = rng.normal(size=(2, 3, p.dim)) + 1j * rng.normal(size=(2, 3, p.dim))
+                noise[:, 1:, -1] = 0.0
+                for x, y in ((_B_band(p, u, m), _B_band(p, v, m - 1)),
+                             (_D_band(p, u, m), _B_band(p, v, m)),
+                             (_B_band(p, v, m), _D_band(p, u, m - 1)),
+                             tuple(noise)):
+                    got = _band_product(x, y)
+                    assert got.shape == (5, p.dim)
+                    assert not np.any(got[1:3, -1]) and not np.any(got[3:, -2:])
+                    want = dense_of(x) @ dense_of(y)
+                    assert mx(dense_of(got) - want) <= 1e-15 * mx(want)
+
+    @pytest.mark.parametrize("n", [8, 32, 96, 256])
+    @pytest.mark.parametrize("operator,row", [("B", 0), ("B", 1), ("D", 0), ("D", 2)])
+    def test_perturbed_entry_fails(self, monkeypatch, n, operator, row):
+        # a 1e-7 relative change in one entry of B(u, m) or D(u, m) must
+        # break every relation it enters, far beyond the unchanged bounds and
+        # the unperturbed residuals (at n = 256 the DB residual already
+        # exceeds its bound without the change)
+        p = make(n, n // 4, n // 2, Parity.PLUS)
+        u, v, m = 0.43 + 0.2j, 1.31 - 0.1j, 3
+        base = check_dynamical_relations(p, u, v, m)
+        build = {"B": bethe._B_band, "D": bethe._D_band}[operator]
+
+        def perturbed(p_, u_, m_, *args):
+            band = build(p_, u_, m_, *args)
+            if (u_, m_) == (u, m):
+                band = band.copy()
+                band[row, p.dim // 2] *= 1 + 1e-7
+            return band
+
+        monkeypatch.setattr(bethe, f"_{operator}_band", perturbed)
+        r_bb, r_db = check_dynamical_relations(p, u, v, m)
+        assert r_db > max(1e-9, 1e3 * base[1])
+        if operator == "B":
+            assert r_bb > max(1e-10, 1e3 * base[0])
+        else:
+            assert r_bb == base[0]
 
 
 class TestHeunDecomposition:
@@ -418,7 +480,7 @@ def dense_pair(p):
 
 
 # The dense dynamical operators as the package formed them before they became
-# bands: the reference for dyn_B and dyn_D.
+# bands: the reference for the D and B bands.
 
 
 def reference_D(p, u, m):
@@ -475,20 +537,18 @@ class TestPairBands:
             for _ in range(3):
                 u = complex(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 0.5))
                 m = int(rng.choice([k for k in range(-2 * n, 2 * n) if abs(trig_s(p, 2 * k)) > 1e-9]))
-                for got, want in ((dyn_D(p, u, m).entries, reference_D(p, u, m)),
-                                  (dyn_B(p, u, m).entries, reference_B(p, u, m))):
+                for got, want in ((dense_of(_D_band(p, u, m)), reference_D(p, u, m)),
+                                  (dense_of(_B_band(p, u, m)), reference_B(p, u, m))):
                     assert mx(got - want) <= 1e-15 * mx(want)
 
 
 class TestNoDenseMatrixOnTheBethePath:
     def test_bands_only_at_n_64(self, monkeypatch):
-        import tblim.bethe as bethe
         from tblim.core_model import TridiagonalOperator
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense matrix formed")
 
-        monkeypatch.setattr(bethe, "_dense", refuse)
         monkeypatch.setattr(TridiagonalOperator, "to_dense", refuse)
         for variant, L in ((AnsatzVariant.MINUS_FIRST, 4), (AnsatzVariant.MINUS_SECOND, 4),
                            (AnsatzVariant.PLUS, 3)):
@@ -501,6 +561,8 @@ class TestNoDenseMatrixOnTheBethePath:
             p = make(64, 16, 4, parity)
             assert check_vacuum_action(p, 0.41 + 0.1j, 3) < 1e-11
             assert max(check_T_decomposition(p, 0.618 + 0.2j)) < 1e-10
+            r_bb, r_db = check_dynamical_relations(p, 0.43 + 0.2j, 1.31 - 0.1j, 3)
+            assert r_bb < 1e-10 and r_db < 1e-9
         ys = np.array([0.7 + 0.1j, 3.1 - 0.2j, 9.6 + 0.3j, 20.2 - 0.1j])
         assert check_reduction_formula(make(64, 16, 4, Parity.MINUS), ys) < 1e-9
 

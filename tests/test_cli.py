@@ -58,6 +58,18 @@ class TestBuild:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+    def test_bytes_frozen_at_n96(self, tmp_path):
+        # digest of the parent's per-entry formatter, before rows were
+        # deduplicated
+        import hashlib
+
+        out = tmp_path / "ops.json"
+        assert main(["build", "--n", "96", "--K", "48", "--L", "12", "--parity", "plus",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "76b71577b436dd5e848e272864404a45dbf1bbc870434f68f1ef2396e962af25"
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("argv,digest", [
         (["--parity", "plus"], "a11adf4373a8a10a3928c90b5686efb81d3f3df5b6ed9c40127c0bbd35f12f94"),
@@ -124,6 +136,33 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", "--n", "4", "--K", "9", "--L", "2",
                            "--parity", "plus")
         assert code == 2
+
+    def test_sweep_keeps_values_that_succeed(self, capsys, caplog, tmp_path):
+        # L = 8 is a full symmetric window, where joint_spectrum raises
+        argv = ["spectrum", "--n", "8", "--K", "3", "--L", "0", "--parity", "plus"]
+        out = tmp_path / "sweep.json"
+        code, _, _ = run(capsys, *argv, "--sweep", "L=0..n", "--out", str(out))
+        assert code == 2
+        results = json.loads(out.read_text())["results"]
+        assert [r["value"] for r in results] == list(range(9))
+        assert set(results[8]) == {"value", "error"}
+        assert "joint eigenvector residual" in results[8]["error"]
+        assert [r.getMessage()[:37] for r in caplog.records if r.levelname == "ERROR"] == \
+            ["sweep L=8: joint eigenvector residual"]
+        code, good, _ = run(capsys, *argv, "--sweep", "L=0..7")
+        assert code == 0
+        assert results[:8] == json.loads(good)["results"]
+
+    def test_csv_sweep_keeps_values_that_succeed(self, capsys, caplog):
+        argv = ["spectrum", "--n", "8", "--K", "3", "--L", "0", "--parity", "plus",
+                "--format", "csv"]
+        code, out, _ = run(capsys, *argv, "--sweep", "L=0..n")
+        assert code == 2
+        assert [r.getMessage()[:11] for r in caplog.records if r.levelname == "ERROR"] == \
+            ["sweep L=8: "]
+        code, good, _ = run(capsys, *argv, "--sweep", "L=0..7")
+        assert code == 0
+        assert out == good
 
 
 class TestVerify:
@@ -285,6 +324,18 @@ class TestReconstruct:
         doc = json.loads(out)
         assert doc["plus"]["verdict"] == "unrecoverable"
 
+    def test_bytes_frozen_at_n48(self, tmp_path):
+        # digest from before f_hat was passed as one float array
+        import hashlib
+
+        sig = tmp_path / "sig.csv"
+        self.write_signal(sig, 48, 20)
+        out = tmp_path / "recon.json"
+        assert main(["reconstruct", "--n", "48", "--K", "16", "--L", "20", "--signal", str(sig),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "832c6ebaced697800dcef7b99c118404a63ac0200a48a9407292e0f639de7e3b"
+
     def test_malformed_csv_exit_two(self, capsys, tmp_path):
         sig = tmp_path / "bad.csv"
         sig.write_text("garbage,npe\n")
@@ -433,3 +484,27 @@ class TestLogging:
         assert len(digits) >= 2
         for d in digits:
             assert f"{d} digits operator " in line
+
+    @pytest.mark.parametrize("argv,line", [
+        (["spectrum", "--n", "8", "--K", "3", "--L", "4", "--parity", "plus"],
+         "tblim INFO: spectrum n=8 K=3 L=4 plus: exit 0, "),
+        (["build", "--n", "6", "--K", "2", "--L", "3", "--parity", "minus"],
+         "tblim INFO: build n=6 K=2 L=3 minus: exit 0, "),
+        (["spectrum", "--n", "4", "--K", "9", "--L", "2", "--parity", "plus"],
+         "tblim INFO: spectrum n=4 K=9 L=2 plus: exit 2, "),
+    ])
+    def test_info_logs_each_command(self, tmp_path, argv, line):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        cmd = [sys.executable, "-m", "tblim.cli"] + argv
+        quiet = subprocess.run(cmd + ["--out", str(tmp_path / "quiet.json")], env=env,
+                               capture_output=True, text=True)
+        loud = subprocess.run(cmd + ["--out", str(tmp_path / "loud.json")],
+                              env=dict(env, TBLIM_LOG="info"), capture_output=True, text=True)
+        assert quiet.returncode == loud.returncode
+        assert "INFO" not in quiet.stderr
+        lines = [ln for ln in loud.stderr.splitlines() if ln.startswith("tblim INFO: ")]
+        assert len(lines) == 1
+        assert lines[0].startswith(line) and lines[0].endswith(" s")
+        if quiet.returncode == 0:
+            assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()

@@ -64,3 +64,19 @@ def test_cli_digest(tmp_path):
     again = tmp_path / "again.jsonl"
     assert run_script("cli_digest.py", "--max-n", "4", "--out", str(again)).returncode == 0
     assert again.read_bytes() == out_file.read_bytes()
+
+
+def test_cli_digest_fixture(tmp_path):
+    # tests/cli_digest_n8.jsonl holds the digests of every CLI output on the
+    # n <= 8 grid; a change that moves output bytes regenerates it with
+    #   python scripts/cli_digest.py --max-n 8 --out tests/cli_digest_n8.jsonl
+    # and lists the moved fields in CHANGES.md
+    fixture = ROOT / "tests" / "cli_digest_n8.jsonl"
+    out_file = tmp_path / "digests.jsonl"
+    out = run_script("cli_digest.py", "--max-n", "8", "--out", str(out_file))
+    assert out.returncode == 0, out.stderr
+    want, got = fixture.read_text().splitlines(), out_file.read_text().splitlines()
+    moved = [f"{w}\n  now {g}" for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) == 2148
+    assert not moved, f"{len(moved)} invocations moved, first:\n" + "\n".join(moved[:5])
+

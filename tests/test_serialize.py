@@ -1,12 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tblim.core_model import BasisKind, DenseOperator, ModelParams, Parity
 from tblim.errors import DomainError
 from tblim.operators import tb_operator
-from tblim.serialize import canonical_json, csv_lines, format_float, pack_operator, unpack_operator
+from tblim.serialize import (
+    _float_array,
+    canonical_json,
+    csv_lines,
+    format_float,
+    pack_operator,
+    unpack_operator,
+)
 from tblim.verify import run_suite
 
 
@@ -58,6 +68,50 @@ class TestCanonicalJson:
         rng = np.random.default_rng(0)
         arr = rng.normal(size=(3, 3))
         assert canonical_json({"m": arr}) == canonical_json({"m": arr.copy()})
+
+
+def per_entry_float_array(a):
+    """The float-array formatter as it was before rows were deduplicated:
+    every entry formatted on its own, then grouped innermost axis first."""
+    def one(x):
+        x = float(x)
+        return "%.17g" % (x + 0.0) if math.isfinite(x) else "null"
+
+    items = [one(x) for x in a.ravel().tolist()]
+    for width in reversed(a.shape):
+        items = ["[" + ",".join(items[i:i + width]) + "]" for i in range(0, len(items), width)]
+    return items[0]
+
+
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0]
+
+
+@st.composite
+def float_arrays(draw):
+    """1-D to 3-D float arrays (any axis may have length 1), their entries
+    drawn from a pool of one to six values, so that rows repeat often."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(width=64), min_size=1,
+                         max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    return np.array(pool, dtype=float)[picks].reshape(shape)
+
+
+class TestFloatArray:
+    @settings(deadline=None, max_examples=300)
+    @given(float_arrays())
+    @example(np.array(SPECIAL_FLOATS))
+    @example(np.array(SPECIAL_FLOATS).reshape(10, 1))
+    @example(np.array(SPECIAL_FLOATS).reshape(5, 1, 2))
+    @example(np.zeros((4, 3, 2)))
+    def test_equals_per_entry_formatter(self, a):
+        assert _float_array(a) == per_entry_float_array(a)
+
+    def test_distinct_nan_payloads(self):
+        quiet = np.frombuffer(np.array([0x7FF8000000000001], dtype=np.uint64).tobytes(), float)
+        a = np.concatenate([quiet, [np.nan, -np.nan]]).reshape(3, 1)
+        assert _float_array(a) == per_entry_float_array(a) == "[[null],[null],[null]]"
 
 
 class TestOperatorPayload:

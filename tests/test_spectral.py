@@ -15,6 +15,7 @@ from tblim.operators import heun_tb, projector_time, tb_operator
 from tblim.spectral import (
     eig_sym_dense,
     eig_sym_tridiag,
+    eigvals_sym_tridiag,
     joint_spectrum,
     svd_E,
 )
@@ -80,6 +81,7 @@ class TestBisectionSolver:
 
     def assert_matches_eigvalsh(self, t):
         spec = eig_sym_tridiag(t)
+        assert np.array_equal(eigvals_sym_tridiag(t), spec.values)
         ref = np.linalg.eigvalsh(dense_of(t))
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert mx(spec.values - ref) < 1e-12 * scale
@@ -104,8 +106,9 @@ class TestBisectionSolver:
         # W21+: the top two eigenvalues agree to 7e-14 although the matrix is
         # unreduced, so the simplicity check rejects the spectrum
         w = tridiag(np.abs(np.arange(-10, 11)), np.ones(20))
-        with pytest.raises(DegeneracyError):
-            eig_sym_tridiag(w)
+        for solver in (eig_sym_tridiag, eigvals_sym_tridiag):
+            with pytest.raises(DegeneracyError):
+                solver(w)
 
     def test_exact_zero_couplings_give_block_diagonal_vectors(self):
         rng = np.random.default_rng(13)
@@ -126,6 +129,8 @@ class TestBisectionSolver:
         assert spec.values.tolist() == [-2.5]
         assert spec.vectors.tolist() == [[1.0]]
         assert spec.residuals.tolist() == [0.0]
+        assert eigvals_sym_tridiag(tridiag([], [])).shape == (0,)
+        assert eigvals_sym_tridiag(tridiag([-2.5], [])).tolist() == [-2.5]
 
     def test_calls_no_lapack_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -133,8 +138,16 @@ class TestBisectionSolver:
 
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        spec = eig_sym_tridiag(heun_tb(make(96, 24, 8, Parity.PLUS)))
+        t = heun_tb(make(96, 24, 8, Parity.PLUS))
+        spec = eig_sym_tridiag(t)
         assert len(spec) == 97 and spec.residuals.max() < 1e-12
+        assert np.array_equal(eigvals_sym_tridiag(t), spec.values)
+
+    def test_rejects_a_dense_operator(self):
+        dense = DenseOperator(np.eye(3), POS, hermitian=True)
+        for solver in (eig_sym_tridiag, eigvals_sym_tridiag):
+            with pytest.raises(DomainError):
+                solver(dense)
 
 
 class TestDenseSolver:
