@@ -196,17 +196,22 @@ def _pair_bands(p):
     return bands
 
 
-def _pair_combination(p, x, y, z, w, c):
-    """x A + y A* + z {A, A*} / (4 c(1)) + w [A, A*] / (4 s(1)) + c I as a
-    band: a (3, dim) array of the diagonal, the upper couplings (j, j+1) and
-    the lower couplings (j+1, j), each coupling row padded by a zero.
+def _pair_couplings(p, x, z, w=None):
+    """Upper (j, j+1) and lower (j+1, j) couplings of
+    x A + z {A, A*} / (4 c(1)) + w [A, A*] / (4 s(1)), each row padded by a
+    zero; without ``w`` the commutator term is left out.  A and both
+    products have a zero diagonal, so adding y A* + c to such a combination
+    sets its diagonal and leaves these rows alone.
 
-    The terms are summed in this order, and each product divided after it is
-    formed, which gives the same numbers as the dense matrix expression.
+    The terms are summed in this order, and each product divided after it
+    is formed, which gives the same numbers as the dense matrix expression.
     """
-    hop, s, anti, comm = _pair_bands(p)
-    xa, za, wc = x * hop, z * anti / (4 * trig_c(p, 1)), w * comm / (4 * trig_s(p, 1))
-    return np.array([y * s + c, xa + wc + za, xa - wc + za])
+    hop, _s, anti, comm = _pair_bands(p)
+    xa, za = x * hop, z * anti / (4 * trig_c(p, 1))
+    if w is None:
+        return xa + za, xa + za
+    wc = w * comm / (4 * trig_s(p, 1))
+    return xa + wc + za, xa - wc + za
 
 
 def _create(p, factors):
@@ -222,29 +227,46 @@ def _create(p, factors):
     return v
 
 
-def _D_band(p, u, m):
+def _D_couplings(p, m):
+    """Coupling rows of s(2u) s(2m) D(u, m), the same for every u."""
+    return _pair_couplings(p, trig_c(p, 2 * m + 1), -1.0)
+
+
+def _D_band(p, u, m, couplings=None):
+    """Band of D(u, m); ``couplings`` are the slot's ``_D_couplings``, for a
+    caller that builds them once per slot."""
     den_u = _require(p, trig_s(p, 2 * u), f"s(2u) at u={u}")
     den_m = _require(p, trig_s(p, 2 * m), f"s(2m) at m={m}")
-    band = _pair_combination(p, trig_c(p, 2 * m + 1), -trig_c(p, 2 * u - 2 * m), -1.0, 0.0,
-                             2 * trig_c(p, 2 * u))
-    return band / (den_u * den_m)
+    s = _pair_bands(p)[1]
+    upper, lower = _D_couplings(p, m) if couplings is None else couplings
+    diag = -trig_c(p, 2 * u - 2 * m) * s + 2 * trig_c(p, 2 * u)
+    return np.array([diag, upper, lower]) / (den_u * den_m)
 
 
 def _B_linear_parts(p, m):
     """Bands (M0, M1) with s(2m) B(u, m) = M0 + cos(pi*u/n) M1 for the slot
-    m; the product state is multilinear in the cosines of the roots."""
+    m; the product state is multilinear in the cosines of the roots.
+
+    M0 = c(1) A - c(2m) {A, A*} / (4 c(1)) + s(2m) [A, A*] / (4 s(1)) has a
+    zero diagonal and M1 = 2 c(2m) - A* zero couplings; the coupling rows of
+    A are nonnegative, so these zeros are +0, as the general combination
+    with zero coefficients gives them.
+    """
     c2m = trig_c(p, 2 * m)
-    m0 = _pair_combination(p, trig_c(p, 1), 0.0, -c2m, trig_s(p, 2 * m), 0.0)
-    m1 = _pair_combination(p, 0.0, -1.0, 0.0, 0.0, 2 * c2m)
+    m0 = np.zeros((3, p.dim), dtype=complex)
+    m1 = np.zeros((3, p.dim), dtype=complex)
+    m0[1], m0[2] = _pair_couplings(p, trig_c(p, 1), -c2m, trig_s(p, 2 * m))
+    m1[0] = -1.0 * _pair_bands(p)[1] + 2 * c2m
     return m0, m1
 
 
-def _B_band(p, u, m, scaled=False):
+def _B_band(p, u, m, scaled=False, parts=None):
     """Band of B(u, m), undefined when s(2m) vanishes; with ``scaled`` that
     of s(2m) B(u, m), entire in m, for a slot that degenerates.  Rescaling a
     creation factor only rescales the Bethe state, so the scaled form serves
-    wherever only the state's direction matters."""
-    m0, m1 = _B_linear_parts(p, m)
+    wherever only the state's direction matters.  ``parts`` are the slot's
+    ``_B_linear_parts``, for a caller that builds them once per slot."""
+    m0, m1 = _B_linear_parts(p, m) if parts is None else parts
     band = m0 + trig_c(p, 2 * u) * m1
     if scaled:
         return band
@@ -276,13 +298,16 @@ def check_dynamical_relations(p, u, v, m):
         D(u,m) B(v,m)   = f(u,v) B(v,m) D(u,m-1)
                           + B(u,m) [g(u,v,m) D(v,m-1) + g(u,-v,m) D(-v,m-1)]
     """
-    b_um, b_vm = _B_band(p, u, m), _B_band(p, v, m)
-    r_bb = _band_product(b_um, _B_band(p, v, m - 1)) - _band_product(b_vm, _B_band(p, u, m - 1))
+    now, before = _B_linear_parts(p, m), _B_linear_parts(p, m - 1)
+    b_um, b_vm = _B_band(p, u, m, parts=now), _B_band(p, v, m, parts=now)
+    r_bb = (_band_product(b_um, _B_band(p, v, m - 1, parts=before))
+            - _band_product(b_vm, _B_band(p, u, m - 1, parts=before)))
+    d_before = _D_couplings(p, m - 1)
     r_db = (
         _band_product(_D_band(p, u, m), b_vm)
-        - f_fn(p, u, v) * _band_product(b_vm, _D_band(p, u, m - 1))
-        - _band_product(b_um, g_fn(p, u, v, m) * _D_band(p, v, m - 1)
-                        + g_fn(p, u, -v, m) * _D_band(p, -v, m - 1))
+        - f_fn(p, u, v) * _band_product(b_vm, _D_band(p, u, m - 1, d_before))
+        - _band_product(b_um, g_fn(p, u, v, m) * _D_band(p, v, m - 1, d_before)
+                        + g_fn(p, u, -v, m) * _D_band(p, -v, m - 1, d_before))
     )
     return float(np.max(np.abs(r_bb), initial=0.0)), float(np.max(np.abs(r_db), initial=0.0))
 

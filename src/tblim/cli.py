@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -280,6 +281,18 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
+def _tolerance(text):
+    """Argument type of ``--tol``: a finite float >= 0.  A NaN would make
+    every comparison against it false, so it would reject nothing."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser; built once per process, since parsing leaves it
@@ -302,7 +315,7 @@ def build_parser():
             sp.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
         sp.add_argument("--out", default=None)
         if name in ("bethe", "reconstruct"):
-            sp.add_argument("--tol", type=float, default=None)
+            sp.add_argument("--tol", type=_tolerance, default=None)
         if name == "spectrum":
             sp.add_argument("--sweep", default=None, help="K=a..b or L=a..b")
         if name == "verify":

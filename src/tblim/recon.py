@@ -4,8 +4,10 @@ expansion.
 
 Each parity branch is an ordinary finite-dimensional least-squares problem
 (band rank observations against window rank unknowns) posed on the band x
-window Fourier block E; observation, reconstruction and the conditioning
-report all work from E and its one SVD (``svd_E``).  The verdict reports
+window Fourier block E.  Reconstruction is one LAPACK least-squares solve on
+E (dgelsd), which returns the truncated minimum-norm solution, its rank and
+the singular values of E without forming singular vectors; the conditioning
+report reads the singular values alone (``svd_E``).  The verdict reports
 whether the window subspace is fully resolved, numerically fragile, or
 genuinely unrecoverable.
 """
@@ -13,6 +15,7 @@ genuinely unrecoverable.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,7 @@ from .core_model import (
     grid_values,
     position_kind,
 )
-from .errors import DomainError, SupportError
+from .errors import ConvergenceError, DomainError, SupportError
 from .spectral import svd_E
 
 __all__ = [
@@ -42,6 +45,8 @@ __all__ = [
 
 DEFAULT_ZERO_TOL_REL = 1e-10
 ILL_CONDITION_RATIO = 1e8
+
+log = logging.getLogger("tblim")
 
 
 class Verdict(enum.Enum):
@@ -113,23 +118,61 @@ def reconstruction_verdict(sigmas, window_rank, zero_tol=None):
     return Verdict.EXACT, kept
 
 
+def _lstsq(e, rhs, rcond):
+    """Minimum-norm least-squares solution of e x = rhs that treats singular
+    values sigma <= rcond * sigma_1 as zero (LAPACK dgelsd), with its rank
+    and the descending singular values of e.  LAPACK replaces an rcond
+    outside (0, 1) by the unit roundoff, so callers pass one inside."""
+    x, _residues, rank, s = np.linalg.lstsq(e, rhs, rcond=rcond)
+    return x, int(rank), s
+
+
 def reconstruct(data, zero_tol=None):
     """Truncated pseudo-inverse reconstruction from band observations, with
-    the discarding rule and verdict of ``reconstruction_verdict``."""
+    the discarding rule and verdict of ``reconstruction_verdict``.
+
+    E is real, so the real and imaginary parts of the data are two
+    right-hand sides of one real least-squares solve (``_lstsq``) at the
+    default relative threshold; its singular values, zero-padded to the
+    window rank, are the ones reported.  Where the verdict keeps a different
+    count on them (a user-set absolute ``zero_tol``, or a sigma within
+    rounding of the threshold), a second solve cuts midway between the last
+    kept and the first discarded sigma; with no mode kept the solution is
+    zero.
+    """
     p = data.params
-    trips = svd_E(p)
-    s = trips.sigmas[: p.time_rank]
-    verdict, kept = reconstruction_verdict(s, p.time_rank, zero_tol)
-    u, v = trips.lefts[:, :kept], trips.rights[:, :kept]
+    e = band_window_block(p)
+    rhs = np.stack((data.values.real, data.values.imag), 1)
+    rcond = DEFAULT_ZERO_TOL_REL
+    x, rank, s = _lstsq(e, rhs, rcond)
+    sigmas = np.zeros(p.time_rank)
+    sigmas[: s.size] = s
+    verdict, kept = reconstruction_verdict(sigmas, p.time_rank, zero_tol)
+    solves = 1
+    if kept == 0:
+        x, rank = np.zeros_like(x), 0
+    elif kept != rank:
+        below = sigmas[kept] if kept < sigmas.size else 0.0
+        rcond = 0.5 * (sigmas[kept - 1] + below) / sigmas[0]
+        x, rank, _ = _lstsq(e, rhs, rcond)
+        solves = 2
+    if rank != kept:
+        raise ConvergenceError(
+            f"least-squares rank {rank} differs from the {kept} modes the verdict keeps")
+    worst = float(sigmas[kept - 1]) if kept else 0.0
+    log.debug("reconstruct n=%d K=%d L=%d %s: window rank %d, kept %d, sigma_1 %.3e, "
+              "smallest kept sigma %.3e, rcond %.3e, %d least-squares solve(s)",
+              p.n, p.K, p.L, p.parity.value, p.time_rank, kept,
+              sigmas[0] if sigmas.size else 0.0, worst, rcond, solves)
     coeffs = np.zeros(p.dim, dtype=complex)
-    coeffs[: p.time_rank] = v @ ((u.T @ data.values) / s[:kept])
+    coeffs[: p.time_rank] = x[:, 0] + 1j * x[:, 1]
     return ReconstructionReport(
         f_hat=SignalVector(coeffs, position_kind(p.parity)),
-        singular_values=s,
+        singular_values=sigmas,
         kept_modes=kept,
         discarded_modes=p.time_rank - kept,
         verdict=verdict,
-        worst_kept_sigma=float(s[kept - 1]) if kept else 0.0,
+        worst_kept_sigma=worst,
     )
 
 
@@ -137,10 +180,12 @@ def conditioning_report(p, zero_tol=None):
     """Window-restricted spectrum of the time-band operator, ascending, and
     the count of unrecoverable window directions.
 
-    Both come from the SVD of the band x window block: the eigenvalues are
-    the squared singular values, and the count is the number of window modes
-    ``reconstruction_verdict`` discards, i.e. ``reconstruct``'s
-    ``discarded_modes``.
+    Both come from the singular values of the band x window block
+    (``svd_E``): the eigenvalues are their squares, and the count is the
+    number of window modes ``reconstruction_verdict`` discards, which is
+    ``reconstruct``'s ``discarded_modes`` unless a singular value lies
+    within rounding of the threshold (the two routes compute the singular
+    values with different LAPACK routines).
     """
     s = svd_E(p).sigmas[: p.time_rank]
     _verdict, kept = reconstruction_verdict(s, p.time_rank, zero_tol)

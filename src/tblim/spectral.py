@@ -1,11 +1,12 @@
 """Eigendecomposition backbone: the joint spectrum of the Heun and time-band
 operators, a symmetric tridiagonal solver by Sturm-count bisection and
-inverse iteration, a dense Hermitian solver, and the singular value
-decomposition of the band x window block of the Fourier matrix.
+inverse iteration, a dense Hermitian solver, and the singular values of
+the band x window block of the Fourier matrix.
 
 The joint spectrum diagonalizes the window block of the Heun operator with
 LAPACK and reads each concentration off the band x window Fourier block; the
-SVD factors that same block, so no n x n matrix is formed on either route.
+singular values are those of that same block, computed without singular
+vectors, so no n x n matrix is formed on either route.
 The bisection solver, which calls no LAPACK eigensolver, and the dense
 solver are kept as independent oracles that the tests and the verification
 suite compare the production route against.  The bisection solver's values
@@ -64,17 +65,14 @@ class Spectrum:
 
 @dataclass
 class SingularTriplets:
-    """Singular triplets (sigma, left, right), descending sigma.
+    """Singular values of the band x window block, descending.
 
-    ``lefts[:, i]`` is in band coordinates (the first band rank momentum
-    labels) and ``rights[:, i]`` in window coordinates (the first window rank
-    position labels); ``sigmas`` is zero-padded to the subspace dimension, so
-    only its first min(band rank, window rank) entries have vectors.
+    ``sigmas`` is zero-padded to the subspace dimension, so only its first
+    min(band rank, window rank) entries can be nonzero.  No singular vectors
+    are kept: no caller needs them.
     """
 
     sigmas: np.ndarray
-    lefts: np.ndarray
-    rights: np.ndarray
 
 
 @dataclass
@@ -283,17 +281,17 @@ def eig_sym_dense(m):
 
 
 def svd_E(p):
-    """Thin singular value decomposition of the band x window block E.
+    """Singular values of the band x window block E, without singular
+    vectors (LAPACK dgesdd).
 
     E maps window coordinates to band coordinates; the squared singular
     values, zero-padded to the subspace dimension, are the spectrum of the
-    time-band operator.  An empty band or window gives no triplets and all
-    sigmas zero.
+    time-band operator.  An empty band or window gives all sigmas zero.
     """
-    u, s, vh = np.linalg.svd(band_window_block(p), full_matrices=False)
+    s = np.linalg.svd(band_window_block(p), compute_uv=False)
     sigmas = np.zeros(p.dim)
     sigmas[: s.size] = s
-    return SingularTriplets(sigmas=sigmas, lefts=u, rights=vh.T)
+    return SingularTriplets(sigmas=sigmas)
 
 
 def joint_spectrum(p):

@@ -168,8 +168,8 @@ class TestBandProduct:
         base = check_dynamical_relations(p, u, v, m)
         build = {"B": bethe._B_band, "D": bethe._D_band}[operator]
 
-        def perturbed(p_, u_, m_, *args):
-            band = build(p_, u_, m_, *args)
+        def perturbed(p_, u_, m_, *args, **kwargs):
+            band = build(p_, u_, m_, *args, **kwargs)
             if (u_, m_) == (u, m):
                 band = band.copy()
                 band[row, p.dim // 2] *= 1 + 1e-7

@@ -325,7 +325,8 @@ class TestReconstruct:
         assert doc["plus"]["verdict"] == "unrecoverable"
 
     def test_bytes_frozen_at_n48(self, tmp_path):
-        # digest from before f_hat was passed as one float array
+        # the earlier digest (832c6eba...) is of the truncated-SVD route, before
+        # the least-squares solve moved f_hat by up to 1.5e-7 relative
         import hashlib
 
         sig = tmp_path / "sig.csv"
@@ -334,7 +335,7 @@ class TestReconstruct:
         assert main(["reconstruct", "--n", "48", "--K", "16", "--L", "20", "--signal", str(sig),
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "832c6ebaced697800dcef7b99c118404a63ac0200a48a9407292e0f639de7e3b"
+            "77b84cb33155b30c4dd7574d2648373dec5f8bc1317cd8021e93daa3ac8e53de"
 
     def test_malformed_csv_exit_two(self, capsys, tmp_path):
         sig = tmp_path / "bad.csv"
@@ -371,6 +372,37 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bethe", "reconstruct"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path, command, value):
+        # a NaN tolerance would make every comparison against it false
+        argv = [command, "--n", "8", "--K", "3", "--L", "3", "--tol", value]
+        if command == "bethe":
+            argv += ["--ansatz", "plus"]
+        else:
+            TestReconstruct.write_signal(tmp_path / "sig.csv", 8, 3)
+            argv += ["--signal", str(tmp_path / "sig.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: expected a finite tolerance >= 0, got '{value}'" in captured.err
+
+    def test_zero_tolerance_keeps_its_meaning(self, capsys, tmp_path):
+        # reconstruct keeps every sigma > 0; bethe accepts no residual
+        TestReconstruct.write_signal(tmp_path / "sig.csv", 8, 3)
+        code, out, _ = run(capsys, "reconstruct", "--n", "8", "--K", "3", "--L", "3",
+                           "--signal", str(tmp_path / "sig.csv"), "--tol", "0")
+        assert code == 0
+        doc = json.loads(out)
+        for parity in ("plus", "minus"):
+            assert doc[parity]["kept_modes"] == sum(s > 0 for s in doc[parity]["singular_values"])
+        code, out, _ = run(capsys, "bethe", "--n", "8", "--K", "3", "--L", "3",
+                           "--ansatz", "plus", "--tol", "0")
+        assert code == 1
+        assert json.loads(out)["levels"] == []
 
     def test_two_commands_in_one_process(self, capsys):
         # the parser is built once per process; a rejected option in between
@@ -421,6 +453,33 @@ class TestLogging:
         assert loud.stdout == quiet.stdout
         assert "tblim DEBUG: joint_spectrum n=8 K=3 L=4 plus: window rank 5, " \
             "min eigenvalue gap 6.348e-01, max joint residual" in loud.stderr
+
+    def test_debug_logs_each_reconstruct_parity(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        TestReconstruct.write_signal(tmp_path / "sig.csv", 24, 10)
+        args = [sys.executable, "-m", "tblim.cli", "reconstruct", "--n", "24", "--K", "6",
+                "--L", "10", "--signal", str(tmp_path / "sig.csv")]
+        runs = {}
+        for level in (None, "debug"):
+            run_env = dict(env, TBLIM_LOG=level) if level else env
+            out = tmp_path / f"{level}.json"
+            printed = subprocess.run(args, env=run_env, capture_output=True, text=True, check=True)
+            written = subprocess.run(args + ["--out", str(out)], env=run_env,
+                                     capture_output=True, text=True, check=True)
+            runs[level] = (printed, written, out.read_bytes())
+        (quiet, quiet_file, quiet_bytes), (loud, loud_file, loud_bytes) = runs[None], runs["debug"]
+        assert quiet.stderr == quiet_file.stderr == ""
+        assert loud.stdout == quiet.stdout and loud_file.stdout == quiet_file.stdout == ""
+        assert loud_bytes == quiet_bytes == quiet.stdout.encode()
+        lines = [ln for ln in loud.stderr.splitlines() if "tblim DEBUG: reconstruct " in ln]
+        assert len(lines) == 2
+        # band ranks 7 and 6 against window ranks 11 and 10
+        for line, parity, rank, kept in zip(lines, ("plus", "minus"), (11, 10), (7, 6)):
+            assert line.startswith(f"tblim DEBUG: reconstruct n=24 K=6 L=10 {parity}: "
+                                   f"window rank {rank}, kept {kept}, sigma_1 ")
+            assert ", smallest kept sigma " in line
+            assert ", rcond 1.000e-10, 1 least-squares solve(s)" in line
 
     def test_debug_logs_each_bethe_level(self):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))

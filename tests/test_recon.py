@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from tblim.core_model import ModelParams, Parity, SignalVector, position_kind
+from tblim.core_model import ModelParams, Parity, SignalVector, band_window_block, position_kind
 from tblim.errors import DomainError, SupportError
 from tblim.recon import (
     Verdict,
@@ -89,6 +89,76 @@ class TestReconstruct:
         assert rep.kept_modes + rep.discarded_modes == p.time_rank
 
 
+def truncated_pinv(e, b, kept):
+    """Test-local truncated pseudo-inverse solution through a full SVD."""
+    u, s, vh = np.linalg.svd(e)
+    return vh[:kept].T @ ((u[:, :kept].T @ b) / s[:kept])
+
+
+def all_instances(max_n):
+    for n in range(1, max_n + 1):
+        for K in range(n + 1):
+            for L in range(n + 1):
+                for parity in (Parity.PLUS, Parity.MINUS) if n >= 2 else (Parity.PLUS,):
+                    yield make(n, K, L, parity)
+
+
+class TestTruncationRule:
+    """The least-squares route keeps exactly the modes the verdict rule keeps
+    on the singular values it reports, and its solution is the truncated
+    pseudo-inverse of the band x window block."""
+
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-14, 1e-3, "sigma_1", 2.0])
+    def test_every_instance_up_to_n12(self, tol):
+        rng = np.random.default_rng(11)
+        for p in all_instances(12):
+            f_sig = window_signal(p, rng)
+            x = f_sig.coeffs[: p.time_rank]
+            e = band_window_block(p)
+            ref_s = np.zeros(p.time_rank)
+            if e.size:
+                ref_s[: min(e.shape)] = np.linalg.svd(e, compute_uv=False)
+            top = ref_s[0] if p.time_rank else 0.0
+            data = forward_observe(f_sig, p)
+            zero_tol = tol
+            if tol == "sigma_1":  # the sigma_1 the rule reads is the reported one
+                zero_tol = reconstruct(data).singular_values[0] if p.time_rank else 0.0
+            rep = reconstruct(data, zero_tol)
+            where = (p, tol)
+            s = rep.singular_values
+            assert s.shape == (p.time_rank,), where
+            assert np.max(np.abs(s - ref_s), initial=0.0) <= 1e-13 * max(top, 1.0), where
+            assert (rep.verdict, rep.kept_modes) == \
+                reconstruction_verdict(s, p.time_rank, zero_tol), where
+            assert rep.discarded_modes == p.time_rank - rep.kept_modes, where
+            kept = rep.kept_modes
+            assert rep.worst_kept_sigma == (s[kept - 1] if kept else 0.0), where
+            got = rep.f_hat.coeffs
+            assert np.all(got[p.time_rank:] == 0), where
+            norm = np.linalg.norm(x)
+            if kept == 0:
+                assert np.all(got == 0), where
+                continue
+            want = truncated_pinv(e, e @ x, kept)
+            bound = 1e-12 * (s[0] / s[kept - 1]) * norm
+            assert np.linalg.norm(got[: p.time_rank] - want) <= bound, where
+            # E x_hat is the band data less its part on the discarded modes,
+            # which is at most sigma_(kept+1) ||x||
+            below = ref_s[kept] if kept < p.time_rank else 0.0
+            miss = np.linalg.norm(e @ (got[: p.time_rank] - x))
+            assert miss <= (1e-12 * s[0] + below) * norm, where
+
+    def test_debug_log_line_per_solve(self, caplog):
+        p = make(8, 4, 3, Parity.MINUS)
+        data = forward_observe(window_signal(p, np.random.default_rng(14)), p)
+        with caplog.at_level("DEBUG", logger="tblim"):
+            reconstruct(data)
+            reconstruct(data, 0.5)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("reconstruct")]
+        assert len(lines) == 2
+        assert "1 least-squares solve" in lines[0] and "2 least-squares solve" in lines[1]
+
+
 class TestVerdictRule:
     def test_rule(self):
         assert reconstruction_verdict([1.0, 0.5], 2) == (Verdict.EXACT, 2)
@@ -169,6 +239,23 @@ class TestFullSignalWrapper:
 
 
 class TestBlockRoute:
+    def test_no_singular_vectors_formed(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def values_only(a, *args, **kwargs):
+            assert kwargs.get("compute_uv") is False, "an SVD formed singular vectors"
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", values_only)
+        n, K, L = 24, 6, 10
+        f = np.zeros(2 * n, dtype=complex)
+        f[: L + 1] = np.random.default_rng(9).normal(size=L + 1)
+        f[2 * n - L:] = f[L:0:-1]
+        reconstruct_signal(f, n, K, L, 1e-3)
+        for parity in (Parity.PLUS, Parity.MINUS):
+            conditioning_report(make(n, K, L, parity))
+
+
     def test_no_n_by_n_builder_on_recon_path(self, monkeypatch):
         import tblim.cli  # noqa: F401  (loads every tblim module)
 

@@ -80,3 +80,37 @@ def test_cli_digest_fixture(tmp_path):
     assert len(got) == len(want) == 2148
     assert not moved, f"{len(moved)} invocations moved, first:\n" + "\n".join(moved[:5])
 
+
+
+def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
+    # the benchmark runs themselves are replaced by a stub that counts the
+    # calls; the base checkout is an empty directory
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    sides = {str(tmp_path): "base", str(ROOT): "change"}
+    order = []
+
+    def fake_run(root, workload, seed, seconds):
+        order.append(sides[root])
+        speed = {"base": 10.0, "change": 12.0}[sides[root]] + order.count(sides[root])
+        metrics = {"setup_s": 0.04, "ops_per_s": speed, "op_p50_s": 1.0 / speed,
+                   "peak_rss_mb": 70.0}
+        return {"correct": True, "attempted": 7, "failed": int(sides[root] == "base"),
+                "metrics": {name: {"value": v, "unit": ""} for name, v in metrics.items()}}
+
+    monkeypatch.setattr(bench_record, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    bench_record.main(["--base", str(tmp_path), "--change", str(ROOT), "--workloads",
+                       "recon-large", "--pairs", "3", "--out", str(out)])
+    assert order == ["base", "change", "change", "base", "base", "change"]
+    doc = json.loads(out.read_text())
+    assert set(doc["environment"]) == {"cores", "machine", "python", "numpy", "mpmath"}
+    entry = doc["workloads"]["recon-large"]
+    assert entry["base"]["failed"] == 3 and entry["change"]["failed"] == 0
+    assert entry["change"]["metrics"]["ops_per_s"] == \
+        {"median": 14.0, "q1": 13.5, "q3": 14.5, "runs": [13.0, 14.0, 15.0]}
+    assert entry["change_better_in_pairs"] == \
+        {"setup_s": 0, "ops_per_s": 3, "op_p50_s": 3, "peak_rss_mb": 0}
