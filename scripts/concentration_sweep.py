@@ -34,7 +34,7 @@ def main():
                 p = ModelParams(args.n, K, L, parity)
                 if p.time_rank == 0:
                     continue
-                window = svd_E(p).sigmas[: p.time_rank]
+                window = svd_E(p)[: p.time_rank]
                 verdict, _kept = reconstruction_verdict(window, p.time_rank)
                 smin = window.min()
                 smax = window.max()

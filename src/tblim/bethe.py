@@ -53,7 +53,7 @@ from .core_model import (
     trig_c,
     trig_s,
 )
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, check_tolerance
 from .operators import leonard_pair
 from .spectral import joint_spectrum
 
@@ -718,6 +718,7 @@ def solve_bethe(p, variant, residual_tol=1e-9):
     ``missing_levels``; the solve is deterministic.  At log level DEBUG each
     window level logs its outcome, Newton steps, residual and u-spread.
     """
+    check_tolerance(residual_tol)
     if variant.parity is not p.parity:
         raise DomainError(f"{variant.value} ansatz requires parity {variant.parity.value}")
     if variant is not AnsatzVariant.PLUS and p.L < 1:

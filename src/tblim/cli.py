@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -22,7 +21,7 @@ import numpy as np
 
 from .bethe import AnsatzVariant, solve_bethe
 from .core_model import ModelParams, Parity
-from .errors import TblimError
+from .errors import TblimError, check_tolerance
 from .operators import heun_tb, heun_tb_momentum, leonard_pair, projector_band, projector_time, tb_operator
 from .recon import reconstruct_signal
 from .serialize import canonical_json, csv_lines, pack_operator, unpack_operator
@@ -282,15 +281,11 @@ def cmd_reconstruct(args):
 
 
 def _tolerance(text):
-    """Argument type of ``--tol``: a finite float >= 0.  A NaN would make
-    every comparison against it false, so it would reject nothing."""
+    """Argument type of ``--tol``: a finite float >= 0 (``check_tolerance``)."""
     try:
-        value = float(text)
+        return check_tolerance(float(text))
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a finite tolerance >= 0, got {text!r}") from None
 
 
 @functools.lru_cache(maxsize=1)

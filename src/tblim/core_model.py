@@ -17,7 +17,8 @@ high-precision checks reuse the very formulas of the double-precision ones.
 ``rho`` and ``grid_cos`` take a label (an integer) or an integer array of
 labels in either context; with an mpmath context an array gives a numpy
 object array of mpf, so the formulas built on them run unchanged over whole
-label ranges.
+label ranges.  In both arithmetics every cosine at an integer argument is
+read from ``grid_cos``'s table over one period.
 """
 
 from __future__ import annotations
@@ -135,19 +136,21 @@ def grid_cos(p, ctx=None):
     """The function x -> cos(pi*x/(2n)) for integer grid-unit x, a scalar or
     an integer array.
 
-    With ``ctx=None`` it is ``trig_c``.  With an mpmath context the values
-    come from a table of cos(pi*r/(2n)), r = 0..n, built once in the
-    context's precision and unfolded over one period by the exact
-    symmetries cos(-y) = cos(y) and cos(pi - y) = -cos(y); x is reduced
-    mod 4n and read from it, so no high-precision trig call is made per
-    entry.  An array x gives an object array of the same shape.
+    x is reduced mod 4n and read from a table over one period, so no trig
+    call is made per entry and no argument grows with x.  With ``ctx=None``
+    the table is ``trig_c`` at r = 0..4n-1, so an x in [0, 4n) gets the bits
+    of ``trig_c``.  With an mpmath context it is cos(pi*r/(2n)), r = 0..n, in
+    the context's precision, unfolded over the period by the exact
+    symmetries cos(-y) = cos(y) and cos(pi - y) = -cos(y); an array x then
+    gives an object array of the same shape.
     """
-    if ctx is None:
-        return lambda x: trig_c(p, x)
     n = p.n
-    quarter = [ctx.cospi(ctx.mpf(r) / (2 * n)) for r in range(n + 1)]
-    half = quarter + [-v for v in quarter[-2::-1]]
-    period = np.array(half + half[-2:0:-1], dtype=object)
+    if ctx is None:
+        period = trig_c(p, np.arange(4 * n))
+    else:
+        quarter = [ctx.cospi(ctx.mpf(r) / (2 * n)) for r in range(n + 1)]
+        half = quarter + [-v for v in quarter[-2::-1]]
+        period = np.array(half + half[-2:0:-1], dtype=object)
 
     def cos(x):
         return period[np.asarray(x) % (4 * n)]
@@ -264,10 +267,6 @@ class TridiagonalOperator:
         return TridiagonalOperator(self.diag[:size], self.offdiag[: max(size - 1, 0)], self.basis)
 
 
-def _ambient_grid(p):
-    return np.arange(2 * p.n)
-
-
 def _position_support(p):
     """Where the position basis vectors live: for each row, the ambient
     points j and (2n - j) mod 2n and the values taken there (these coincide
@@ -299,14 +298,17 @@ def position_basis(p):
 def momentum_basis(p):
     """Rows = ambient values of the momentum basis vectors, in index order.
 
-    The antisymmetric k = 0 and k = n vectors are identically zero and are
-    excluded, so the returned family is genuinely orthonormal.
+    Row k is cos(pi*k*x/n) / (rho(k) sqrt(n)) or sin(pi*k*x/n) / sqrt(n),
+    read from ``grid_cos`` at 2kx or 2kx - n.  The antisymmetric k = 0 and
+    k = n vectors are identically zero and are excluded, so the returned
+    family is genuinely orthonormal.
     """
-    x = _ambient_grid(p)
+    cos = grid_cos(p)
+    x = np.arange(2 * p.n)
     ks = np.array(p.indices)[:, None]
     if p.parity is Parity.PLUS:
-        return np.cos(np.pi * ks * x / p.n) / (rho(p, ks) * math.sqrt(p.n))
-    return np.sin(np.pi * ks * x / p.n) / math.sqrt(p.n)
+        return cos(2 * ks * x) / (rho(p, ks) * math.sqrt(p.n))
+    return cos(2 * ks * x - p.n) / math.sqrt(p.n)
 
 
 def fourier_block(p, ks, js, ctx=None):
@@ -315,26 +317,19 @@ def fourier_block(p, ks, js, ctx=None):
 
     Entry (k, j) is the overlap of momentum vector k with position vector j:
     sqrt(2/n) * cos(pi*k*j/n) / (rho(k)*rho(j)) on the symmetric subspace and
-    sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one.  With an mpmath
-    context the block is an object array of mpf, cos(pi*k*j/n) read from
-    ``grid_cos`` at 2kj and sin(pi*k*j/n) at 2kj - n.
+    sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one, cos(pi*k*j/n) read
+    from ``grid_cos`` at 2kj and sin(pi*k*j/n) at 2kj - n.  With an mpmath
+    context the block is an object array of mpf.
     """
     ks = np.array(ks, dtype=int)[:, None]
     js = np.array(js, dtype=int)
-    if ctx is not None:
-        cos = grid_cos(p, ctx)
-        scale = ctx.sqrt(ctx.mpf(2) / p.n)
-        # the array comes first: an mpf on the left would first try, and
-        # fail, to convert the whole array, formatting it for the error
-        if p.parity is Parity.PLUS:
-            return cos(2 * ks * js) * scale / (rho(p, ks, ctx) * rho(p, js, ctx))
-        return cos(2 * ks * js - p.n) * scale
+    cos = grid_cos(p, ctx)
+    scale = math.sqrt(2.0 / p.n) if ctx is None else ctx.sqrt(ctx.mpf(2) / p.n)
+    # the array comes first: an mpf on the left would first try, and fail,
+    # to convert the whole array, formatting it for the error
     if p.parity is Parity.PLUS:
-        f = np.sqrt(2.0 / p.n) * np.cos(np.pi * ks * js / p.n)
-        f /= rho(p, ks) * rho(p, js)
-    else:
-        f = np.sqrt(2.0 / p.n) * np.sin(np.pi * ks * js / p.n)
-    return f
+        return cos(2 * ks * js) * scale / (rho(p, ks, ctx) * rho(p, js, ctx))
+    return cos(2 * ks * js - p.n) * scale
 
 
 def band_window_block(p, ctx=None):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the tolerance check."""
+
+import math
 
 
 class TblimError(Exception):
@@ -40,3 +42,12 @@ class ConvergenceError(TblimError, RuntimeError):
 
 class SupportError(DomainError):
     """A signal violates a required support constraint."""
+
+
+def check_tolerance(tol):
+    """``tol`` itself if it is None (the default) or a finite float >= 0, a
+    DomainError otherwise: a NaN would make every comparison against it
+    false, so it would reject nothing."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"expected a finite tolerance >= 0, got {tol!r}")
+    return tol

@@ -100,7 +100,7 @@ def leonard_pair(p):
     else:
         off_a = np.ones(p.dim - 1)
     a = TridiagonalOperator(diag_a, off_a, position_kind(p.parity))
-    astar = TridiagonalOperator(2.0 * trig_c(p, 2 * idx), np.zeros(p.dim - 1),
+    astar = TridiagonalOperator(2.0 * grid_cos(p)(2 * idx), np.zeros(p.dim - 1),
                                 position_kind(p.parity))
     return a, astar
 

@@ -29,7 +29,7 @@ from .core_model import (
     grid_values,
     position_kind,
 )
-from .errors import ConvergenceError, DomainError, SupportError
+from .errors import ConvergenceError, DomainError, SupportError, check_tolerance
 from .spectral import svd_E
 
 __all__ = [
@@ -107,9 +107,10 @@ def reconstruction_verdict(sigmas, window_rank, zero_tol=None):
     ILL_CONDITIONED when everything is kept but the spread of kept sigmas
     exceeds 1e8, and EXACT otherwise.
     """
+    check_tolerance(zero_tol)
     s = np.asarray(sigmas, dtype=float)
     sigma_max = float(s[0]) if s.size else 0.0
-    tol = max(zero_tol, 0.0) if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
+    tol = zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL_REL * sigma_max
     kept = int(np.sum(s > tol))
     if kept < window_rank:
         return Verdict.UNRECOVERABLE, kept
@@ -140,6 +141,7 @@ def reconstruct(data, zero_tol=None):
     kept and the first discarded sigma; with no mode kept the solution is
     zero.
     """
+    check_tolerance(zero_tol)
     p = data.params
     e = band_window_block(p)
     rhs = np.stack((data.values.real, data.values.imag), 1)
@@ -187,7 +189,8 @@ def conditioning_report(p, zero_tol=None):
     within rounding of the threshold (the two routes compute the singular
     values with different LAPACK routines).
     """
-    s = svd_E(p).sigmas[: p.time_rank]
+    check_tolerance(zero_tol)
+    s = svd_E(p)[: p.time_rank]
     _verdict, kept = reconstruction_verdict(s, p.time_rank, zero_tol)
     return s[::-1] ** 2, p.time_rank - kept
 

@@ -34,7 +34,6 @@ from .operators import heun_tb
 
 __all__ = [
     "Spectrum",
-    "SingularTriplets",
     "JointMode",
     "eig_sym_tridiag",
     "eigvals_sym_tridiag",
@@ -61,18 +60,6 @@ class Spectrum:
 
     def __len__(self):
         return self.values.size
-
-
-@dataclass
-class SingularTriplets:
-    """Singular values of the band x window block, descending.
-
-    ``sigmas`` is zero-padded to the subspace dimension, so only its first
-    min(band rank, window rank) entries can be nonzero.  No singular vectors
-    are kept: no caller needs them.
-    """
-
-    sigmas: np.ndarray
 
 
 @dataclass
@@ -284,14 +271,16 @@ def svd_E(p):
     """Singular values of the band x window block E, without singular
     vectors (LAPACK dgesdd).
 
-    E maps window coordinates to band coordinates; the squared singular
-    values, zero-padded to the subspace dimension, are the spectrum of the
-    time-band operator.  An empty band or window gives all sigmas zero.
+    E maps window coordinates to band coordinates.  Returns the singular
+    values descending, zero-padded to the subspace dimension, so only the
+    first min(band rank, window rank) can be nonzero; their squares are the
+    spectrum of the time-band operator.  An empty band or window gives all
+    zeros.
     """
     s = np.linalg.svd(band_window_block(p), compute_uv=False)
     sigmas = np.zeros(p.dim)
     sigmas[: s.size] = s
-    return SingularTriplets(sigmas=sigmas)
+    return sigmas
 
 
 def joint_spectrum(p):

@@ -20,7 +20,7 @@ from .bethe import (
     check_T_decomposition,
     check_vacuum_action,
 )
-from .core_model import Parity, fourier_matrix, momentum_basis, position_basis
+from .core_model import Parity, fourier_matrix, momentum_basis, position_basis, trig_c, trig_s
 from .errors import PoleError
 from .operators import (
     check_askey_wilson,
@@ -36,9 +36,8 @@ from .operators import (
 )
 from .polymap import eval_P_stable, link_residuals_hp, verify_Q_equals_piP
 from .spectral import eig_sym_dense, eigvals_sym_tridiag, joint_spectrum, svd_E
-from .core_model import trig_c, trig_s
 
-__all__ = ["CheckResult", "run_suite"]
+__all__ = ["CheckResult", "basis_checks", "run_suite"]
 
 log = logging.getLogger("tblim")
 
@@ -61,20 +60,28 @@ def _skip(name, note):
     return CheckResult(name, 0.0, 0.0, True, skipped=True, note=note)
 
 
+def _mx(m):
+    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+
+
+def basis_checks(p):
+    """Orthonormal position and momentum bases, a unitary Fourier matrix,
+    and its entries equal to the inner products of the two bases."""
+    pos = position_basis(p)
+    mom = momentum_basis(p)
+    f = fourier_matrix(p).entries
+    return [
+        _check("position_gram", _mx(pos @ pos.T - np.eye(p.dim)), 1e-13),
+        _check("momentum_gram", _mx(mom @ mom.T - np.eye(p.dim)), 1e-13),
+        _check("fourier_unitarity", _mx(f.conj().T @ f - np.eye(p.dim)), 1e-13),
+        _check("fourier_vs_inner_products", _mx(f - mom @ pos.T), 1e-13),
+    ]
+
+
 def run_suite(p, rng=None):
     """Run the full residual suite on one instance; returns CheckResult list."""
     rng = rng or np.random.default_rng(0)
-    out = []
-    mx = lambda m: float(np.max(np.abs(m))) if np.size(m) else 0.0
-
-    # bases and Fourier structure
-    pos = position_basis(p)
-    mom = momentum_basis(p)
-    out.append(_check("position_gram", mx(pos @ pos.T - np.eye(p.dim)), 1e-13))
-    out.append(_check("momentum_gram", mx(mom @ mom.T - np.eye(p.dim)), 1e-13))
-    f = fourier_matrix(p).entries
-    out.append(_check("fourier_unitarity", mx(f.conj().T @ f - np.eye(p.dim)), 1e-13))
-    out.append(_check("fourier_vs_inner_products", mx(f - mom @ pos.T), 1e-13))
+    out = basis_checks(p)
 
     # commutation of the Heun operator with the limiting operators
     t_dense = heun_tb(p).to_dense()
@@ -93,17 +100,17 @@ def run_suite(p, rng=None):
     a_mom = to_momentum_basis(a.to_dense(), p).entries
     astar_mom = to_momentum_basis(astar.to_dense(), p).entries
     out.append(_check("leonard_duality_diag",
-                      mx(a_mom - astar.to_dense().entries), 1e-12))
+                      _mx(a_mom - astar.to_dense().entries), 1e-12))
     out.append(_check("leonard_duality_tridiag",
-                      mx(astar_mom - a.to_dense().entries), 1e-12))
+                      _mx(astar_mom - a.to_dense().entries), 1e-12))
 
     # Heun operator: general form, momentum mirror, exact decoupling
     general = heun_general(a, astar, 1.0 / (4 * trig_c(p, 1)), 0.0,
                            -trig_c(p, 2 * p.K + 1), -trig_c(p, 2 * p.L + 1), 0.0)
-    out.append(_check("heun_vs_general", mx(t_dense.entries - general.entries), 1e-13))
+    out.append(_check("heun_vs_general", _mx(t_dense.entries - general.entries), 1e-13))
     t_mom = heun_tb_momentum(p).to_dense().entries
     out.append(_check("heun_momentum_conjugation",
-                      mx(to_momentum_basis(t_dense, p).entries - t_mom), 1e-12))
+                      _mx(to_momentum_basis(t_dense, p).entries - t_mom), 1e-12))
     cut = p.time_rank
     if 0 < cut < p.dim:
         out.append(_check("window_edge_decoupling", abs(heun_tb(p).offdiag[cut - 1]), 0.0 + 1e-300))
@@ -111,10 +118,9 @@ def run_suite(p, rng=None):
     # spectra: hand-rolled vs dense, SVD vs eigenvalues
     tri = eigvals_sym_tridiag(heun_tb(p))
     dense = eig_sym_dense(t_dense)
-    out.append(_check("tridiag_vs_dense_eigenvalues", mx(tri - dense.values), 1e-11))
-    sig = svd_E(p)
+    out.append(_check("tridiag_vs_dense_eigenvalues", _mx(tri - dense.values), 1e-11))
     qs = np.sort(eig_sym_dense(q).values)[::-1]
-    out.append(_check("svd_sq_vs_Q_spectrum", mx(sig.sigmas**2 - np.clip(qs, 0.0, None)), 1e-10))
+    out.append(_check("svd_sq_vs_Q_spectrum", _mx(svd_E(p) ** 2 - np.clip(qs, 0.0, None)), 1e-10))
     out.append(_check("Q_spectrum_in_unit_interval",
                       max(0.0, float(np.max(qs)) - 1.0, float(-np.min(qs))), 1e-12))
 

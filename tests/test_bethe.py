@@ -747,6 +747,12 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_bethe(p, AnsatzVariant.MINUS_FIRST)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN residual gate is never exceeded, so it would accept every level
+        with pytest.raises(DomainError, match="finite tolerance >= 0"):
+            solve_bethe(make(8, 3, 3, Parity.PLUS), AnsatzVariant.PLUS, residual_tol=tol)
+
     def test_solutions_verify_as_eigenvectors(self):
         from tblim.operators import heun_tb
 

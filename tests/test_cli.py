@@ -43,11 +43,13 @@ class TestBuild:
         assert np.max(np.abs(q.entries - want.entries)) == 0.0
 
 
-    # the earlier digests (38cdad00..., 96b55bc1...) are of the same bytes
-    # with ',"seed":0' in "params", which build no longer echoes
+    # the earlier digests (cb648212..., a41030c9...) are of pi2 and Q built
+    # from cosines of pi*k*j/n at arguments up to n*pi, before they were read
+    # from one period table; the ones before them (38cdad00..., 96b55bc1...)
+    # also had ',"seed":0' in "params", which build no longer echoes
     @pytest.mark.parametrize("parity,digest", [
-        ("plus", "cb648212899de4748bc9caed4ed3445e70a519be7e862b31ed48d4b5ccaea0b7"),
-        ("minus", "a41030c936a8583fa0efbc83e6ca96914c97616edc95cfe0f80f9cd636ad94c2"),
+        ("plus", "81e87f830e146a84ef90ca8883489a6a66eac5b17d74554ca0e6dcb8baa32874"),
+        ("minus", "94ba0f1acf26e7c34c6180a4ddad4ab4858afe2fb188ce15c745d5b6955bf90f"),
     ])
     def test_bytes_frozen_at_n48(self, tmp_path, parity, digest):
         import hashlib
@@ -59,25 +61,28 @@ class TestBuild:
 
 
     def test_bytes_frozen_at_n96(self, tmp_path):
-        # digest of the parent's per-entry formatter, before rows were
-        # deduplicated
+        # the earlier digest (76b71577...) is of pi2 and Q before the
+        # Fourier block was read from one period table of cosines
         import hashlib
 
         out = tmp_path / "ops.json"
         assert main(["build", "--n", "96", "--K", "48", "--L", "12", "--parity", "plus",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "76b71577b436dd5e848e272864404a45dbf1bbc870434f68f1ef2396e962af25"
+            "e763cc39c9f569112386a9c2dcb07108b3ace10626fe11fb0fd69700ce1322ae"
 
 
 class TestSpectrum:
+    # the earlier digests (a11adf43..., 43fc1fa3..., 621b1f7e..., 34e414a9...)
+    # are of q and residual, and the order of modes whose q tie, before the
+    # Fourier block was read from one period table of cosines
     @pytest.mark.parametrize("argv,digest", [
-        (["--parity", "plus"], "a11adf4373a8a10a3928c90b5686efb81d3f3df5b6ed9c40127c0bbd35f12f94"),
-        (["--parity", "minus"], "43fc1fa35d38c3f4bd9af8ae654a9ced3f1d149006f0803a70827a7c58fdccf0"),
+        (["--parity", "plus"], "4e0f4977de95d45f946391f935d088cb85c60e7e1a067d71d7d3cfc8b31b22ff"),
+        (["--parity", "minus"], "ab6f6822373804c4e306cf4e8ea9ba8426f360e88bd67e002c88d648cbae4646"),
         (["--parity", "plus", "--sweep", "K=0..n"],
-         "621b1f7e004d35703c1f1cea6dc7460d0da1eb6d746842fc9f0d9f7c41a1bec7"),
+         "02799ac46761817cb6060f3e276a2cabfc9563419b30125ea6de7f6bfd5ae0c2"),
         (["--parity", "minus", "--sweep", "K=0..n"],
-         "34e414a9892b2f29914a7af03b5f603095aa6d019ea251ef5eaf2d9dc856bf9d"),
+         "e44488e07c66d3ea429aa6dcb854af2a5cc067c503cdb39ed767429e8c132aa2"),
     ])
     def test_bytes_frozen_at_n48(self, tmp_path, argv, digest):
         import hashlib
@@ -325,7 +330,9 @@ class TestReconstruct:
         assert doc["plus"]["verdict"] == "unrecoverable"
 
     def test_bytes_frozen_at_n48(self, tmp_path):
-        # the earlier digest (832c6eba...) is of the truncated-SVD route, before
+        # the earlier digest (77b84cb3...) is of E built from cosines at
+        # arguments up to n*pi, before they were read from one period table;
+        # the one before it (832c6eba...) is of the truncated-SVD route, before
         # the least-squares solve moved f_hat by up to 1.5e-7 relative
         import hashlib
 
@@ -335,7 +342,7 @@ class TestReconstruct:
         assert main(["reconstruct", "--n", "48", "--K", "16", "--L", "20", "--signal", str(sig),
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "77b84cb33155b30c4dd7574d2648373dec5f8bc1317cd8021e93daa3ac8e53de"
+            "2ffb30011359ac41550721f204f1500a01de17bbeb37781b27e60d036a7af310"
 
     def test_malformed_csv_exit_two(self, capsys, tmp_path):
         sig = tmp_path / "bad.csv"

@@ -285,7 +285,8 @@ class TestHeunCoefficientsContext:
 def scalar_heun_rows(p, side):
     """Diagonal and off-diagonal of the Heun operator from the scalar
     formula, one numpy cosine per label: the reference for the array
-    builder."""
+    builder.  Side "leonard" gives the diagonal of A* and the off-diagonal
+    of A."""
     kk, ll = (p.K, p.L) if side == "position" else (p.L, p.K)
     n = p.n
 
@@ -299,24 +300,34 @@ def scalar_heun_rows(p, side):
             return math.sqrt(2.0)
         return 1.0 if 1 <= j <= n - 1 else 0.0
 
+    if side == "leonard":
+        return (np.array([2.0 * cos(2 * j) for j in p.indices], dtype=float),
+                np.array([weight(j) * weight(j + 1) for j in p.indices[:-1]], dtype=float))
     cos_k, cos_l = cos(2 * kk + 1), cos(2 * ll + 1)
     diag = [-2.0 * cos_k * cos(2 * j) for j in p.indices]
     off = [weight(j) * weight(j + 1) * (cos(2 * j + 1) - cos_l) for j in p.indices[:-1]]
     return np.array(diag, dtype=float), np.array(off, dtype=float)
 
 
+def array_rows(p, side):
+    if side == "leonard":
+        a, astar = leonard_pair(p)
+        return astar.diag, a.offdiag
+    t = heun_tb(p) if side == "position" else heun_tb_momentum(p)
+    return t.diag, t.offdiag
+
+
 class TestHeunCoefficientArrays:
     @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
-    @pytest.mark.parametrize("side", ["position", "momentum"])
+    @pytest.mark.parametrize("side", ["position", "momentum", "leonard"])
     def test_double_bitwise_equal_to_scalar_formula(self, parity, side):
         # the diagonal reads only the band limit of its side and the
         # off-diagonal only the window limit, so (K, L) = (x, n - x) covers
         # every value of each
-        build = heun_tb if side == "position" else heun_tb_momentum
         for n in range(1 if parity is Parity.PLUS else 2, 65):
             for x in range(n + 1):
                 p = make(n, x, n - x, parity)
-                t = build(p)
+                got_diag, got_off = array_rows(p, side)
                 diag, off = scalar_heun_rows(p, side)
-                assert t.diag.tobytes() == diag.tobytes(), (n, x)
-                assert t.offdiag.tobytes() == off.tobytes(), (n, x)
+                assert got_diag.tobytes() == diag.tobytes(), (n, x)
+                assert got_off.tobytes() == off.tobytes(), (n, x)

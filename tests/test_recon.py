@@ -166,7 +166,18 @@ class TestVerdictRule:
         assert reconstruction_verdict([1.0, 1e-11], 2) == (Verdict.UNRECOVERABLE, 1)
         assert reconstruction_verdict([1.0], 2) == (Verdict.UNRECOVERABLE, 1)  # band narrower
         assert reconstruction_verdict([1.0, 1e-9], 2, zero_tol=1e-8) == (Verdict.UNRECOVERABLE, 1)
-        assert reconstruction_verdict([1.0, 0.0], 2, zero_tol=-1.0) == (Verdict.UNRECOVERABLE, 1)
+        assert reconstruction_verdict([1.0, 0.0], 2, zero_tol=0.0) == (Verdict.UNRECOVERABLE, 1)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN threshold keeps no mode, so every verdict would read unrecoverable
+        p = make(8, 3, 3, Parity.PLUS)
+        data = forward_observe(window_signal(p, np.random.default_rng(0)), p)
+        for call in (lambda: reconstruct(data, tol),
+                     lambda: reconstruction_verdict([1.0, 0.5], 2, tol),
+                     lambda: conditioning_report(p, tol)):
+            with pytest.raises(DomainError, match="finite tolerance >= 0"):
+                call()
 
     def test_agrees_with_reconstruct(self):
         rng = np.random.default_rng(5)
@@ -196,7 +207,7 @@ class TestConditioning:
             for parity in (Parity.PLUS, Parity.MINUS):
                 p = make(n, K, L, parity)
                 _, near_zero = conditioning_report(p)
-                sig = svd_E(p).sigmas
+                sig = svd_E(p)
                 tol = 1e-10 * sig[0]
                 rank = int(np.sum(sig > tol))
                 assert near_zero == p.time_rank - rank
@@ -209,7 +220,7 @@ class TestConditioning:
         prev = -1.0
         for K in range(L, n + 1):
             p = make(n, K, L, Parity.PLUS)
-            sig = np.sort(svd_E(p).sigmas)[::-1][: p.time_rank]
+            sig = np.sort(svd_E(p))[::-1][: p.time_rank]
             smin = sig[-1]
             assert smin >= prev - 1e-12
             prev = smin
@@ -279,4 +290,4 @@ class TestBlockRoute:
             p = make(n, K, L, parity)
             eigs, near_zero = conditioning_report(p)
             assert eigs.size == p.time_rank and near_zero == 0
-            assert svd_E(p).sigmas.size == p.dim
+            assert svd_E(p).size == p.dim

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tblim.core_model import BasisKind, DenseOperator, ModelParams, Parity
+import tblim.verify as verify
+from tblim.core_model import BasisKind, DenseOperator, ModelParams, Parity, fourier_matrix
 from tblim.errors import DomainError
 from tblim.operators import tb_operator
 from tblim.serialize import (
@@ -17,7 +18,7 @@ from tblim.serialize import (
     pack_operator,
     unpack_operator,
 )
-from tblim.verify import run_suite
+from tblim.verify import basis_checks, run_suite
 
 
 class TestCanonicalJson:
@@ -163,6 +164,30 @@ class TestVerifySuite:
         assert checks, "empty suite"
         failed = [c.name for c in checks if not c.passed]
         assert not failed, failed
+
+    @pytest.mark.parametrize("n", [768, 1024])
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_basis_checks_pass_at_large_n(self, n, parity):
+        # momentum_gram read 1.1e-13..1.4e-13 here, against its bound of
+        # 1e-13, while the cosines were taken at arguments up to 2n*pi
+        checks = basis_checks(ModelParams(n, n // 4, n // 2, parity))
+        assert [c.name for c in checks] == ["position_gram", "momentum_gram",
+                                            "fourier_unitarity", "fourier_vs_inner_products"]
+        assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks]
+        assert checks[1].residual <= 1e-14
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("parity", [Parity.PLUS, Parity.MINUS])
+    def test_moved_fourier_entry_fails(self, monkeypatch, n, parity):
+        def moved(p):
+            f = fourier_matrix(p)
+            f.entries[1, 2] += 1e-12  # F is unitary: 1e-12 of its norm
+            return f
+
+        monkeypatch.setattr(verify, "fourier_matrix", moved)
+        checks = {c.name: c for c in run_suite(ModelParams(n, n // 4, n // 2, parity))}
+        assert not checks["fourier_unitarity"].passed
+        assert not checks["fourier_vs_inner_products"].passed
 
     def test_degenerate_instance_skips_not_fails(self):
         # n=2: every candidate dynamical parameter hits a pole
