@@ -4,11 +4,14 @@
 Runs ``perfbench/run.py --trace 0`` of each checkout from its own root, for
 every workload in alternating pairs (the base first in even pairs, the
 change first in odd ones, so that drift on a shared machine falls on both
-sides alike), one run at a time.  Writes one JSON file with, per workload
-and side, the median and quartiles of every end-to-end metric named in
-BENCHMARK.json, each run's values, the operations attempted and failed,
-and in how many pairs the change was better; plus the core count, the
-Python, numpy and mpmath versions, and a sha256 of each side's src/tblim.
+sides alike), one run at a time, and then one ``--trace 1`` run of each
+side.  Writes one JSON file with, per workload and side, the median and
+quartiles of every end-to-end metric named in BENCHMARK.json, each run's
+values, the operations attempted and failed, in how many pairs the change
+was better, and the per-layer metrics of the traced run; plus the core
+count, the Python, numpy and mpmath versions, and a sha256 of each side's
+src/tblim.  A traced run writes its spans under the checkout's
+perfbench/out/.
 
 Usage:
     python scripts/bench_record.py --base ../parent --change . --pairs 10 \\
@@ -37,11 +40,11 @@ def program_digest(root):
     return h.hexdigest()
 
 
-def run_once(root, workload, seed, seconds):
-    """One untraced benchmark run; its result object (the last stdout line)."""
+def run_once(root, workload, seed, seconds, trace=0):
+    """One benchmark run; its result object (the last stdout line)."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if not lines:
@@ -78,6 +81,12 @@ def record(base, change, workloads, metrics, pairs, seconds, seed):
                            for b, c in zip(entry["base"]["metrics"][m["name"]]["runs"],
                                            entry["change"]["metrics"][m["name"]]["runs"]))
             for m in metrics}
+        entry["traced"] = {}
+        for side, root in sides.items():
+            result = run_once(root, workload, seed, seconds, trace=1)
+            entry["traced"][side] = {name: metric["value"]
+                                     for name, metric in result["metrics"].items()}
+            print(f"bench_record: {workload} traced {side} done", file=sys.stderr)
         out[workload] = entry
     return out
 

@@ -14,14 +14,22 @@ implemented:
 
 Roots live in grid units.  Each window eigenvector is a Bethe state, and the
 scaled state is a fixed linear combination of the elementary symmetric
-polynomials of w = cos(pi*x/n) over the roots; so one linear solve per level
-gives those polynomials, and the roots follow in closed form as the zeros of
-one polynomial in w.  A damped Newton iteration polishes each such seed on
-the Bethe equations, whose residuals are evaluated in cleared-denominator
-form (normalized by the magnitude of the cleared sides so the defect stays
+polynomials of w = cos(pi*x/n) over the roots; so a linear solve gives
+those polynomials, and the roots follow in closed form as the zeros of one
+polynomial in w.  A damped Newton iteration polishes a seed on the Bethe
+equations, whose residuals are evaluated in cleared-denominator form
+(normalized by the magnitude of the cleared sides so the defect stays
 meaningful for roots with large imaginary part).  A candidate root set is
 accepted only if its eigenvalue formula is independent of the spectral
 parameter and matches a still-unmatched window eigenvalue.
+
+The solver takes all window levels of an instance together: one solve with
+every window eigenvector as a right-hand side and one stacked companion
+eigenvalue call give every seed, one residual call on the stack of seeds
+picks the levels Newton must polish (the rest take no step), and one pass
+over the stack of polished root sets makes the acceptance checks.  Only
+Newton runs level by level.  The levels are then booked in order, as a
+level-by-level solve would book them.
 
 The dynamical operators D(u, m) and B(u, m) are combinations of the Leonard
 pair A, A*, {A, A*}, [A, A*] and I, all tridiagonal: each is held as a band
@@ -33,8 +41,11 @@ dense matrix is built.
 The equations and the eigenvalue formula are numpy array expressions over
 the roots: the pair factors s(x_i -+ x_j -+ 1) form m x m arrays, the
 residuals take a stack of root sets (one call gives all 2m points of a
-finite-difference Jacobian), and the eigenvalue takes an array of spectral
-parameters.
+finite-difference Jacobian, or the first residuals of every seed), and the
+eigenvalue takes an array of spectral parameters, or a stack of root sets
+each with its own.  The public functions on one root set
+(``bethe_residuals``, ``bethe_eigenvalue``, ``canonicalize_roots``) wrap
+these stack-aware kernels and keep their checks and raises.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from __future__ import annotations
 import enum
 import functools
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +94,7 @@ log = logging.getLogger("tblim")
 _POLE_TOL = 1e-12
 _EXCLUSION = 1e-6
 _NEWTON_MAX_ITER = 200
+_NEWTON_TOL = 1e-13
 _MATCH_TOL = 1e-6
 
 
@@ -510,49 +523,78 @@ def bethe_residuals(p, variant, roots):
     return _residuals(p, variant, _check_roots(variant, p.L, roots))
 
 
-def bethe_eigenvalue(p, variant, roots, u):
-    """Candidate Heun eigenvalue produced by a root set, evaluated at
-    spectral parameter u (a scalar, or an array giving an array of the same
-    shape); constant in u exactly on solutions of the Bethe equations."""
-    roots = _check_roots(variant, p.L, roots)
+def _eigenvalue_denominators(p, roots, u):
+    """s(2u), s(u + x_i) and s(u - x_i), the denominators of the eigenvalue
+    formula, with u[..., None] broadcast against the roots."""
+    uu = u[..., None]
+    return trig_s(p, 2 * u), trig_s(p, uu + roots), trig_s(p, uu - roots)
+
+
+def _eigenvalue(p, variant, roots, u, s2u, spx, smx):
+    """The eigenvalue formula at u, from the ``_eigenvalue_denominators`` of
+    these roots and u; the roots broadcast against u[..., None] as there, so
+    a stack (N, 1, m) of root sets takes its own samples u of shape (N, k)."""
     s = lambda x: trig_s(p, x)
     c = lambda x: trig_c(p, x)
     dl = lambda x: delta_fn(p, x)
-    u = np.asarray(u, dtype=complex)
-    s2u = _require_each(s(2 * u), "s(2u)")
     uu = u[..., None]
-    spx = _require_each(s(uu + roots), "s(u + x_i)")
-    smx = _require_each(s(uu - roots), "s(u - x_i)")
     den = spx * smx
     f_plus = np.prod(s(uu + roots - 1) * s(uu - roots - 1) / den, axis=-1)     # f(u, x_i)
     f_minus = np.prod(s(uu - roots + 1) * s(uu + roots + 1) / den, axis=-1)    # f(-u, x_i)
     if variant is AnsatzVariant.MINUS_FIRST:
-        t = (
+        return (
             2 * c(2 * u)
             + 2 * dl(u) * s(2 - 2 * u) / s2u * f_plus
             - 2 * dl(-u) * s(2 + 2 * u) / s2u * f_minus
         )
-    elif variant is AnsatzVariant.MINUS_SECOND:
-        t = (
+    if variant is AnsatzVariant.MINUS_SECOND:
+        return (
             2 * c(2 * u)
             + 2 * dl(1 - u) * s(2 - 2 * u) / s2u * f_plus
             - 2 * dl(1 + u) * s(2 + 2 * u) / s2u * f_minus
             - 2 * s(2 * p.L + 1) ** 2 * s(2 * u * (p.L + 1)) / s2u
             * np.prod(1.0 / (4 * spx * s(roots - uu)), axis=-1)
         )
-    else:
-        t = (
-            2 * c(2 * u)
-            - 2 * dl(1 - u) * f_plus
-            - 2 * dl(1 + u) * f_minus
-            - 2 * s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * u * (p.L + 1)) / c(2 * p.L + 1)
-            * np.prod(1.0 / (4 * spx * s(roots - uu)), axis=-1)
-        )
-    return t[()]
+    return (
+        2 * c(2 * u)
+        - 2 * dl(1 - u) * f_plus
+        - 2 * dl(1 + u) * f_minus
+        - 2 * s(4 * p.L + 2) * s(2 * p.L + 1) * c(2 * u * (p.L + 1)) / c(2 * p.L + 1)
+        * np.prod(1.0 / (4 * spx * s(roots - uu)), axis=-1)
+    )
+
+
+def bethe_eigenvalue(p, variant, roots, u):
+    """Candidate Heun eigenvalue produced by a root set, evaluated at
+    spectral parameter u (a scalar, or an array giving an array of the same
+    shape); constant in u exactly on solutions of the Bethe equations."""
+    roots = _check_roots(variant, p.L, roots)
+    u = np.asarray(u, dtype=complex)
+    s2u, spx, smx = _eigenvalue_denominators(p, roots, u)
+    _require_each(s2u, "s(2u)")
+    _require_each(spx, "s(u + x_i)")
+    _require_each(smx, "s(u - x_i)")
+    return _eigenvalue(p, variant, roots, u, s2u, spx, smx)[()]
 
 
 # ---------------------------------------------------------------------------
 # numerical solution
+
+
+def _canonical(p, roots):
+    """``canonicalize_roots`` over the rows of a stack (..., m).  The sort
+    keys are Python's round(., 9), as a list sort of (Re, Im) tuples would
+    use, and the sort is stable, as that one is."""
+    re, im = np.remainder(roots.real, 2 * p.n), roots.imag
+    re = np.where(re > p.n + 1e-12, re - 2 * p.n, re)
+    flip = re < 0.0
+    re, im = np.where(flip, -re, re), np.where(flip, -im, im)
+    im = np.where((re <= 1e-9) | (np.abs(re - p.n) <= 1e-9), np.abs(im), im)
+    key = lambda part: np.reshape([round(v, 9) for v in part.ravel().tolist()], part.shape)
+    order = np.lexsort((key(im), key(re)), axis=-1)
+    out = np.empty(roots.shape, dtype=complex)
+    out.real, out.imag = np.take_along_axis(re, order, -1), np.take_along_axis(im, order, -1)
+    return out
 
 
 def canonicalize_roots(p, roots):
@@ -564,35 +606,25 @@ def canonicalize_roots(p, roots):
     boundary lines Re = 0 and Re = n (within 1e-9), the imaginary part is
     made nonnegative.  The boundary rule reads the real part that is
     returned, so a second pass changes nothing.  Roots are then sorted
-    lexicographically by (Re, Im).
+    lexicographically by (Re, Im), each rounded to 9 decimals.
     """
-    out = []
-    for x in np.asarray(roots, dtype=complex).ravel():
-        re, im = float(np.real(x)) % (2 * p.n), float(np.imag(x))
-        if re > p.n + 1e-12:
-            re -= 2 * p.n
-        if re < 0.0:
-            re, im = -re, -im
-        if re <= 1e-9 or abs(re - p.n) <= 1e-9:
-            im = abs(im)
-        out.append(complex(re, im))
-    out.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    return np.array(out, dtype=complex)
+    return _canonical(p, np.asarray(roots, dtype=complex).ravel())
 
 
 def _roots_admissible(p, roots):
     """Exclusion zone: no root at a pole of the equations, no coincident
-    pair (coincidence makes the system degenerate)."""
-    i, j = np.triu_indices(roots.size, 1)
-    a, b = roots[i], roots[j]
+    pair (coincidence makes the system degenerate).  Over a stack (..., m)
+    of root sets, one verdict per set."""
+    i, j = np.triu_indices(roots.shape[-1], 1)
+    a, b = roots[..., i], roots[..., j]
     near = np.concatenate([
         np.abs(trig_s(p, 2 * roots)), np.abs(a - b),
         np.abs(trig_s(p, a + b)), np.abs(trig_s(p, a - b)),
-    ])
-    return not np.any(near < _EXCLUSION)
+    ], axis=-1)
+    return ~np.any(near < _EXCLUSION, axis=-1)
 
 
-def _newton(fun, x0, max_iter, tol=1e-13, fd_step=1e-6):
+def _newton(fun, x0, max_iter, tol=_NEWTON_TOL, fd_step=1e-6):
     """Damped Newton for a square holomorphic system, central-difference
     Jacobian.  ``fun`` maps a stack of points (..., m) to their residuals, so
     the 2m perturbed points of a Jacobian take one call.  Returns the last
@@ -645,18 +677,20 @@ _U_PROBES = np.array(
 
 def _u_samples(p, roots, count=7):
     """Generic spectral-parameter samples, nudged off any pole of the
-    eigenvalue formula for these roots.
+    eigenvalue formula for these roots; over a stack (..., m) of root sets,
+    each set gets its own samples (..., count).
 
     The probes sit 0.25 n up the imaginary axis, away from the strings of
     roots near the real axis, among which every factor of the formula nearly
     vanishes and a root error of 1e-10 reads as a u-spread above 1e-8.  Each
     probe moves by the same step, at most 12 times, until s(2u) and every
     s(u -+ x_i) is at least 1e-4."""
-    u = _U_PROBES[:count] + 0.25j * p.n
+    x = np.asarray(roots)[..., None, :]
+    u = np.broadcast_to(_U_PROBES[:count] + 0.25j * p.n, x.shape[:-2] + (count,)).copy()
     for _ in range(12):
-        near = np.minimum(np.abs(trig_s(p, u[:, None] + roots)),
-                          np.abs(trig_s(p, u[:, None] - roots)))
-        bad = (np.abs(trig_s(p, 2 * u)) < 1e-4) | np.any(near < 1e-4, axis=1)
+        near = np.minimum(np.abs(trig_s(p, u[..., None] + x)),
+                          np.abs(trig_s(p, u[..., None] - x)))
+        bad = (np.abs(trig_s(p, 2 * u)) < 1e-4) | np.any(near < 1e-4, axis=-1)
         if not np.any(bad):
             break
         u[bad] += 0.0731 + 0.0179j
@@ -664,10 +698,20 @@ def _u_samples(p, roots, count=7):
 
 
 def _eigenvalue_profile(p, variant, roots):
-    """(mean eigenvalue, u-spread incl. imaginary size) over generic u."""
-    ts = bethe_eigenvalue(p, variant, roots, _u_samples(p, roots))
-    spread = float(np.ptp(ts.real) + np.max(np.abs(ts.imag)))
-    return float(np.mean(ts.real)), spread
+    """(mean eigenvalue, u-spread incl. imaginary size, pole) over the
+    generic u of ``_u_samples``, per root set of a stack (..., m); ``pole``
+    marks a set whose samples meet a vanishing denominator of the formula,
+    where ``bethe_eigenvalue`` raises, and its other two entries are then
+    meaningless."""
+    u = _u_samples(p, roots)
+    x = roots[..., None, :]
+    s2u, spx, smx = _eigenvalue_denominators(p, x, u)
+    pole = np.any(np.abs(s2u) < _POLE_TOL, axis=-1) \
+        | np.any((np.abs(spx) < _POLE_TOL) | (np.abs(smx) < _POLE_TOL), axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ts = _eigenvalue(p, variant, x, u, s2u, spx, smx)
+    spread = np.ptp(ts.real, axis=-1) + np.max(np.abs(ts.imag), axis=-1)
+    return np.mean(ts.real, axis=-1), spread, pole
 
 
 def _state_basis(p, variant):
@@ -686,37 +730,118 @@ def _state_basis(p, variant):
     return np.column_stack(cols)
 
 
-def _closed_form_seed(p, basis, target):
-    """Roots whose scaled Bethe state is proportional to ``target``.
+def _companion_zeros(coeffs):
+    """``np.roots`` of each row of a stack (N, m + 1) of coefficients with a
+    nonzero leading entry: the eigenvalues of its companion matrix, one
+    stacked call per count of exact trailing zeros, which ``np.roots`` drops,
+    appending a zero root for each."""
+    count, m = coeffs.shape[0], coeffs.shape[1] - 1
+    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    zeros = np.zeros((count, m), dtype=complex)
+    for t in np.unique(trailing).tolist():
+        rows, size = trailing == t, m - t
+        if size:
+            comp = np.zeros((np.count_nonzero(rows), size, size), dtype=coeffs.dtype)
+            comp[:, np.arange(1, size), np.arange(size - 1)] = 1
+            comp[:, 0] = -coeffs[rows, 1: size + 1] / coeffs[rows, :1]
+            zeros[rows, :size] = np.linalg.eigvals(comp)
+    return zeros
 
-    Solving V c = v gives e_k = c_k / c_0; the w's are the zeros of
-    sum_k (-1)^k e_k z^(m-k) and x = (n/pi) arccos w.  Returns (roots, None),
-    or (None, reason) when V is singular or c_0 vanishes.
+
+def _closed_form_seeds(p, basis, targets):
+    """Roots whose scaled Bethe state is proportional to each column of
+    ``targets``.
+
+    Solving V c = v for all columns at once gives e_k = c_k / c_0; the w's
+    are the zeros of sum_k (-1)^k e_k z^(m-k) and x = (n/pi) arccos w.
+    Returns one row of roots per column (NaN where there is none) and, per
+    column, None or the reason there is no seed: V is singular, or c_0
+    vanishes.
     """
     m = basis.shape[1] - 1
+    roots = np.full((targets.shape[1], m), np.nan, dtype=complex)
     try:
-        c = np.linalg.solve(basis, target[: m + 1])
+        c = np.linalg.solve(basis, targets).T
     except np.linalg.LinAlgError:
-        return None, "singular V"
-    if not np.all(np.isfinite(c)):
-        return None, "singular V"
-    if c[0] == 0:
-        return None, "c0 = 0"
-    w = np.roots(c / c[0] * (-1.0) ** np.arange(m + 1))
-    return p.n / np.pi * np.arccos(w.astype(complex)), None
+        return roots, ["singular V"] * targets.shape[1]
+    finite = np.all(np.isfinite(c), axis=1)
+    why = [None if f and c0 != 0 else "c0 = 0" if f else "singular V"
+           for f, c0 in zip(finite.tolist(), c[:, 0].tolist())]
+    good = np.array([w is None for w in why])
+    if good.any():
+        c = c[good]
+        w = _companion_zeros(c / c[:, :1] * (-1.0) ** np.arange(m + 1))
+        roots[good] = p.n / np.pi * np.arccos(w)
+    return roots, why
+
+
+def _polish(p, variant, roots, why):
+    """Newton on each seeded row of ``roots``, in place.  One stacked
+    residual call gives every first residual; a row already below Newton's
+    tolerance takes no step, and one whose residual is not finite fails, as
+    ``_newton`` would return them.  Returns per row whether it converged
+    and its Newton steps, and the count of rows passed to ``_newton``."""
+    seeded = [k for k, reason in enumerate(why) if reason is None]
+    first = _residuals(p, variant, roots[seeded])
+    ok = np.zeros(len(roots), dtype=bool)
+    steps = np.zeros(len(roots), dtype=int)
+    runs = 0
+    system = lambda x: _residuals(p, variant, x)
+    for k, fx in zip(seeded, first):
+        n0 = float(np.linalg.norm(fx))
+        if n0 < _NEWTON_TOL:
+            ok[k] = True
+        elif np.isfinite(n0):
+            roots[k], ok[k], steps[k] = _newton(system, roots[k], _NEWTON_MAX_ITER)
+            runs += 1
+    return ok, steps, runs
+
+
+def _acceptance(p, variant, roots, residual_tol, t_targets):
+    """The acceptance checks of a stack (N, m) of polished root sets, each
+    set on its own.  The roots are made canonical; then, in this order, a
+    set fails on admissibility, on its cleared residual (above
+    ``residual_tol``), on a pole of the eigenvalue formula at its u samples,
+    on its u-spread (above 1e-8) or on its distance to the nearest window
+    eigenvalue (above 1e-6).  Returns the canonical roots and, per set, the
+    first check it fails ('' if none), its residual and u-spread (NaN where
+    that check was not reached), its mean eigenvalue and its nearest level.
+    """
+    canon = _canonical(p, roots)
+    admissible = _roots_admissible(p, canon)
+    res = np.max(np.abs(_residuals(p, variant, canon)), axis=-1, initial=0.0)
+    t_mean, spread, pole = _eigenvalue_profile(p, variant, canon)
+    level = np.argmin(np.abs(t_targets - t_mean[:, None]), axis=-1)
+    unreached = [~admissible, res > residual_tol, pole]
+    outcome = np.select(
+        unreached + [spread > 1e-8, np.abs(t_targets[level] - t_mean) > _MATCH_TOL],
+        ["inadmissible roots", "rejected on residual", "pole in eigenvalue formula",
+         "rejected on u-spread", "no match"], "")
+    res = np.where(admissible, res, np.nan)
+    spread = np.where(np.any(unreached, axis=0), np.nan, spread)
+    return canon, outcome.tolist(), res.tolist(), spread.tolist(), t_mean.tolist(), level.tolist()
 
 
 def solve_bethe(p, variant, residual_tol=1e-9):
     """Solve the Bethe equations and match every window eigenvalue.
 
-    Each window eigenvector gives one seed in closed form
-    (``_closed_form_seed``), which Newton polishes on the cleared equations.
-    A candidate is accepted when its cleared residual is at most
-    ``residual_tol``, its eigenvalue is u-independent, and it matches an
-    unmatched window eigenvalue within 1e-6.  A level whose seed fails
+    All window levels of the instance go through three stacked passes.
+    Every window eigenvector gives one seed in closed form, from one linear
+    solve and one stacked companion eigenvalue call
+    (``_closed_form_seeds``).  One residual call on the stack of seeds
+    finds the levels Newton must polish on the cleared equations; the rest
+    take no step (``_polish``).  One pass checks every polished root set
+    (``_acceptance``): a candidate is accepted when its cleared residual is
+    at most ``residual_tol``, its eigenvalue is u-independent, and it
+    matches an unmatched window eigenvalue within 1e-6.  The levels are then
+    booked in order, as a level-by-level solve would book them: a level
+    already matched by an earlier seed is skipped, and a second root set
+    for a matched level counts as an extra match.  A level whose seed fails
     (singular V, vanishing c_0, Newton or a check rejects it) is reported in
     ``missing_levels``; the solve is deterministic.  At log level DEBUG each
-    window level logs its outcome, Newton steps, residual and u-spread.
+    window level logs its outcome, Newton steps, residual and u-spread, and
+    the solve logs its counts and the seconds spent seeding, in Newton and
+    in the checks.
     """
     check_tolerance(residual_tol)
     if variant.parity is not p.parity:
@@ -730,74 +855,71 @@ def solve_bethe(p, variant, residual_tol=1e-9):
             f"{m} roots, but the window rank is {p.time_rank}"
         )
     modes = joint_spectrum(p)
-    dim = len(modes)
-    matched = {}
-    extra = 0
-
     t_targets = np.array([mode.t for mode in modes])
 
-    def consider(roots):
-        """Accept ``roots`` for the window level they match, if every check
-        passes; returns (outcome, residual, u-spread), NaN where not reached."""
-        nonlocal extra
-        roots = canonicalize_roots(p, roots)
-        if not _roots_admissible(p, roots):
-            return "inadmissible roots", np.nan, np.nan
-        res = float(np.max(np.abs(bethe_residuals(p, variant, roots)))) if m else 0.0
-        if res > residual_tol:
-            return "rejected on residual", res, np.nan
-        try:
-            t_mean, spread = _eigenvalue_profile(p, variant, roots)
-        except PoleError:
-            return "pole in eigenvalue formula", res, np.nan
-        if spread > 1e-8:
-            return "rejected on u-spread", res, spread
-        k = int(np.argmin(np.abs(t_targets - t_mean)))
-        if abs(t_targets[k] - t_mean) > _MATCH_TOL:
-            return "no match", res, spread
-        if k in matched:
-            if np.max(np.abs(matched[k].roots - roots)) > 1e-6:
-                extra += 1
-            return f"re-hit matched level {k}", res, spread
-        matched[k] = BetheRootSet(
-            variant=variant, roots=roots, residual=res,
-            eigenvalue=complex(t_mean), level=k,
-            t_spectral=float(t_targets[k]), u_spread=spread,
-        )
-        return f"accepted as level {k}", res, spread
+    clock = [time.perf_counter()]
+    if m == 0:
+        # one rootless candidate, with nothing to seed or polish
+        roots, why = np.zeros((1, 0), dtype=complex), [None]
+    else:
+        targets = np.column_stack([mode.vector.coeffs[: m + 1] for mode in modes])
+        roots, why = _closed_form_seeds(p, _state_basis(p, variant), targets)
+    clock.append(time.perf_counter())
+    ok, steps, runs = _polish(p, variant, roots, why)
+    clock.append(time.perf_counter())
+    checked = np.flatnonzero(ok)
+    verdicts = dict(zip(checked.tolist(), zip(*_acceptance(
+        p, variant, roots[checked], residual_tol, t_targets))))
 
-    def report(level, steps, outcome, res=np.nan, spread=np.nan):
-        if log.isEnabledFor(logging.DEBUG):
+    debug = log.isEnabledFor(logging.DEBUG)
+
+    def report(k, n_steps, outcome, res=np.nan, spread=np.nan):
+        if debug:
             log.debug("bethe n=%d K=%d L=%d %s level %d: %s, %d Newton steps, "
                       "residual %.3e, u-spread %.3e", p.n, p.K, p.L, variant.value,
-                      level, outcome, steps, res, spread)
+                      k, outcome, n_steps, res, spread)
 
-    seeds = 0
-    if m == 0:
-        report(0, 0, *consider(np.zeros(0, dtype=complex)))
-    else:
-        basis = _state_basis(p, variant)
-        system = lambda x: _residuals(p, variant, x)
-        for k, mode in enumerate(modes):
-            if k in matched:
-                report(k, 0, "matched by an earlier seed")
-                continue
-            seed, why = _closed_form_seed(p, basis, mode.vector.coeffs)
-            seeds += 1
-            if seed is None:
-                report(k, 0, why)
-                continue
-            roots, ok, steps = _newton(system, seed, _NEWTON_MAX_ITER)
-            if ok:
-                report(k, steps, *consider(roots))
-            else:
-                report(k, steps, "Newton failed")
+    matched = {}
+    extra = seeds = 0
+    for k, reason in enumerate(why):
+        if k in matched:
+            report(k, 0, "matched by an earlier seed")
+            continue
+        seeds += 1
+        if reason is not None:
+            report(k, 0, reason)
+            continue
+        if not ok[k]:
+            report(k, steps[k], "Newton failed")
+            continue
+        canon, outcome, res, spread, t_mean, j = verdicts[k]
+        if outcome:
+            report(k, steps[k], outcome, res, spread)
+        elif j in matched:
+            if np.max(np.abs(matched[j].roots - canon)) > 1e-6:
+                extra += 1
+            report(k, steps[k], f"re-hit matched level {j}", res, spread)
+        else:
+            matched[j] = BetheRootSet(
+                variant=variant, roots=canon, residual=res,
+                eigenvalue=complex(t_mean), level=j,
+                t_spectral=float(t_targets[j]), u_spread=spread,
+            )
+            report(k, steps[k], f"accepted as level {j}", res, spread)
+    clock.append(time.perf_counter())
 
-    missing = [k for k in range(dim) if k not in matched]
+    starts = seeds if m else 0          # the rootless level needs no seed
+    missing = [k for k in range(len(modes)) if k not in matched]
+    if debug:
+        seed_s, newton_s, check_s = np.diff(clock)
+        log.debug("solve_bethe n=%d K=%d L=%d %s: %d levels, %d seeds, %d Newton runs, "
+                  "%d with steps, %d accepted, %d missing; seeding %.3e s, Newton %.3e s, "
+                  "checks %.3e s", p.n, p.K, p.L, variant.value, len(modes), starts, runs,
+                  np.count_nonzero(steps), len(matched), len(missing), seed_s, newton_s, check_s)
     return BetheSolveResult(
         variant,
         [matched[k] for k in sorted(matched)],
         missing,
         extra,
-        seeds,
+        starts,
     )

@@ -8,9 +8,13 @@ from tblim.bethe import (
     AnsatzVariant,
     _B_band,
     _band_product,
+    _canonical,
+    _closed_form_seeds,
     _D_band,
     _eigenvalue_profile,
+    _residuals,
     _roots_admissible,
+    _state_basis,
     _u_samples,
     bethe_eigenvalue,
     bethe_residuals,
@@ -29,7 +33,7 @@ from tblim.bethe import (
     solve_bethe,
 )
 from tblim.core_model import ModelParams, Parity, trig_c, trig_s
-from tblim.errors import DomainError, PoleError
+from tblim.errors import DomainError, PoleError, TblimError
 from tblim.operators import leonard_pair, projector_time
 from tblim.spectral import joint_spectrum
 
@@ -472,6 +476,112 @@ class TestArrayKernels:
         for r in near:
             assert _roots_admissible(p, r) == scalar_admissible(p, r)
         assert [scalar_admissible(p, r) for r in near] == [True, False, False, False]
+
+
+def scalar_canonical(p, roots):
+    """The level-by-level canonicalization: one root at a time, then a list
+    sort on Python-rounded (Re, Im) keys."""
+    out = []
+    for x in roots:
+        re, im = float(np.real(x)) % (2 * p.n), float(np.imag(x))
+        if re > p.n + 1e-12:
+            re -= 2 * p.n
+        if re < 0.0:
+            re, im = -re, -im
+        if re <= 1e-9 or abs(re - p.n) <= 1e-9:
+            im = abs(im)
+        out.append(complex(re, im))
+    out.sort(key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    return np.array(out, dtype=complex)
+
+
+def scalar_seed(p, basis, target):
+    """One closed-form seed as a level-by-level solve takes it: a solve with
+    one right-hand side, then np.roots; None where there is no seed."""
+    m = basis.shape[1] - 1
+    try:
+        c = np.linalg.solve(basis, target)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(c)) or c[0] == 0:
+        return None
+    w = np.roots(c / c[0] * (-1.0) ** np.arange(m + 1))
+    return p.n / np.pi * np.arccos(w.astype(complex))
+
+
+def seeded_instances(max_n):
+    """(p, variant, basis, targets) of every instance with n <= max_n and at
+    least one root whose window spectrum exists."""
+    for n in range(2, max_n + 1):
+        for variant in AnsatzVariant:
+            for K in range(n + 1):
+                for L in range(1, n + 1):
+                    p = make(n, K, L, variant.parity)
+                    m = variant.root_count(L)
+                    if m < 1 or m + 1 > p.time_rank:
+                        continue
+                    try:
+                        modes = joint_spectrum(p)
+                    except TblimError:
+                        continue
+                    targets = np.column_stack([mode.vector.coeffs[: m + 1] for mode in modes])
+                    yield p, variant, _state_basis(p, variant), targets
+
+
+class TestStackedPasses:
+    """Each stacked pass of solve_bethe gives, row by row, the bytes of the
+    level-by-level calls."""
+
+    def test_equal_to_level_by_level_calls_up_to_n_12(self):
+        counts = dict(instances=0, seeds=0, poles=0, inadmissible=0)
+        for p, variant, basis, targets in seeded_instances(12):
+            counts["instances"] += 1
+            roots, why = _closed_form_seeds(p, basis, targets)
+            for k, reason in enumerate(why):
+                want = scalar_seed(p, basis, targets[:, k])
+                assert (reason is None) == (want is not None)
+                if want is not None:
+                    assert roots[k].tobytes() == want.tobytes(), (p, variant, k)
+            stack = roots[[reason is None for reason in why]]
+            counts["seeds"] += len(stack)
+            assert _residuals(p, variant, stack).tobytes() == \
+                np.array([bethe_residuals(p, variant, r) for r in stack]).tobytes()
+            canon = _canonical(p, stack)
+            assert canon.tobytes() == np.array([scalar_canonical(p, r) for r in stack]).tobytes()
+            admissible = _roots_admissible(p, canon)
+            assert admissible.tolist() == [bool(_roots_admissible(p, r)) for r in canon]
+            counts["inadmissible"] += int(np.count_nonzero(~admissible))
+            u = _u_samples(p, canon)
+            assert u.tobytes() == np.array([_u_samples(p, r) for r in canon]).tobytes()
+            mean, spread, pole = _eigenvalue_profile(p, variant, canon)
+            for i, r in enumerate(canon):
+                if pole[i]:
+                    counts["poles"] += 1
+                    with pytest.raises(PoleError):
+                        bethe_eigenvalue(p, variant, r, u[i])
+                    continue
+                ts = bethe_eigenvalue(p, variant, r, u[i])
+                assert mean[i] == np.mean(ts.real)
+                assert spread[i] == np.ptp(ts.real) + np.max(np.abs(ts.imag))
+        assert counts["instances"] > 1000 and counts["seeds"] > 5000
+
+    @pytest.mark.parametrize("K", [1, 4])
+    def test_seed_polynomial_with_trailing_zero(self, K):
+        # level 2 of (6, K, 4, second): sum_k (-1)^k e_k z^(m-k) ends in an
+        # exact 0, which np.roots drops, appending a root w = 0 (x = n/2)
+        p = make(6, K, 4, Parity.MINUS)
+        variant = AnsatzVariant.MINUS_SECOND
+        modes = joint_spectrum(p)
+        basis = _state_basis(p, variant)
+        targets = np.column_stack([mode.vector.coeffs[:4] for mode in modes])
+        c = np.linalg.solve(basis, targets[:, 2])
+        assert c[-1] == 0 and c[0] != 0
+        roots, why = _closed_form_seeds(p, basis, targets)
+        assert why == [None] * len(modes)
+        assert roots[2].tobytes() == scalar_seed(p, basis, targets[:, 2]).tobytes()
+        assert roots[2][-1] == 3.0
+        res = solve_bethe(p, variant)
+        assert res.complete and res.starts_used == len(modes)
 
 
 def dense_pair(p):

@@ -296,6 +296,32 @@ class TestBethe:
         assert code == 2
         assert "window rank" in err
 
+    # the 17 instances of the bethe-ranks benchmark workload, then three at
+    # window ranks 10, 11 and 12
+    FROZEN = [(n, K, L, ansatz)
+              for n, K, L in [(16, 5, 2), (24, 8, 4), (12, 4, 5), (16, 5, 7), (20, 6, 8)]
+              for ansatz in ("first", "second")] \
+        + [(16, 5, 9, "second"), (24, 8, 9, "second")] \
+        + [(n, K, L, "plus") for n, K, L in [(24, 8, 2), (20, 6, 5), (12, 4, 6), (24, 8, 7),
+                                             (16, 5, 8)]] \
+        + [(16, 5, 9, "plus"), (20, 6, 11, "first"), (24, 8, 11, "plus")]
+
+    def test_bytes_frozen(self, tmp_path):
+        # one sha256 over the exit code and the --out bytes of each instance,
+        # in JSON and in CSV; it is the digest of the level-by-level solver
+        import hashlib
+
+        digest = hashlib.sha256()
+        out = tmp_path / "bethe.out"
+        for n, K, L, ansatz in self.FROZEN:
+            for fmt in ("json", "csv"):
+                code = main(["bethe", "--n", str(n), "--K", str(K), "--L", str(L),
+                             "--ansatz", ansatz, "--format", fmt, "--out", str(out)])
+                digest.update(f"{code}\n".encode() + out.read_bytes())
+        assert len(self.FROZEN) == 20
+        assert digest.hexdigest() == \
+            "67aa355d5ddf1d2f6822f6e6d06079b22fcc10c358abee1c09c945deb46eb027"
+
 
 class TestReconstruct:
     @staticmethod
@@ -350,6 +376,40 @@ class TestReconstruct:
         code, _, _ = run(capsys, "reconstruct", "--n", "8", "--K", "6", "--L", "4",
                          "--signal", str(sig))
         assert code == 2
+
+    @pytest.mark.parametrize("rows,message", [
+        (["0,1,2", "1,3", "2,x,6"], "malformed signal row '1,3'; expected index,re,im"),
+        (["0,1,2", "1,3,4,5"], "malformed signal row '1,3,4,5'; expected index,re,im"),
+        (["0,1,2", "1,x,4", "2,3"], "malformed signal row '1,x,4': could not convert string "
+                                    "to float: 'x'"),
+        (["0,1,2", "1.5,3,4"], "malformed signal row '1.5,3,4': invalid literal for int() "
+                               "with base 10: '1.5'"),
+        (["0,1,2", "9,3,4", "2,x,6"], "signal index 9 outside 0..3"),
+        (["0,1,2", "-1,3,4"], "signal index -1 outside 0..3"),
+        (["0,1,2", "1,3,4", "3,7,8"], "signal file misses 1 of 4 samples"),
+    ])
+    def test_bad_signal_rows_exit_two(self, capsys, tmp_path, rows, message):
+        # the first bad row is named, whatever the rows after it hold
+        sig = tmp_path / "bad.csv"
+        sig.write_text("index,re,im\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "reconstruct", "--n", "2", "--K", "2", "--L", "1",
+                             "--signal", str(sig))
+        assert code == 2 and out == ""
+        assert f"error: {message}\n" in err
+
+    def test_signal_rows_last_index_wins(self):
+        from tblim.cli import _read_signal_csv
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as work:
+            sig = os.path.join(work, "sig.csv")
+            with open(sig, "w") as fh:
+                fh.write(" Index , re , im\n\n3,7,8\n1,9,9\n0, 1_0 ,-0.0\r\n2,nan,inf\n"
+                         "1,3,4\n  \n")
+            values = _read_signal_csv(sig, 2)
+        assert values[0] == 10 and np.signbit(values[0].imag)
+        assert values[1] == 3 + 4j and values[3] == 7 + 8j
+        assert np.isnan(values[2].real) and values[2].imag == np.inf
 
     def test_support_violation_exit_two(self, capsys, tmp_path):
         sig = tmp_path / "sig.csv"
@@ -505,6 +565,34 @@ class TestLogging:
             assert line.startswith(f"tblim DEBUG: bethe n=8 K=3 L=5 second level {k}: accepted as "
                                    "level ")
             assert " Newton steps, residual " in line and ", u-spread " in line
+
+    def test_debug_logs_one_line_per_bethe_solve(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))
+        env.pop("TBLIM_LOG", None)
+        runs = {}
+        for level in (None, "debug"):
+            out = tmp_path / f"bethe-{level}.json"
+            args = [sys.executable, "-m", "tblim.cli", "bethe", "--n", "16", "--K", "5", "--L",
+                    "9", "--ansatz", "plus"]
+            runs[level] = (
+                subprocess.run(args, env=env if level is None else dict(env, TBLIM_LOG=level),
+                               capture_output=True, text=True, check=True),
+                subprocess.run(args + ["--out", str(out)],
+                               env=env if level is None else dict(env, TBLIM_LOG=level),
+                               capture_output=True, text=True, check=True),
+                out.read_bytes())
+        (quiet, _, quiet_bytes), (loud, loud_file, loud_bytes) = runs[None], runs["debug"]
+        assert quiet.stderr == ""
+        assert loud.stdout == quiet.stdout and loud_bytes == quiet_bytes
+        assert loud_file.stdout == ""
+        lines = [ln for ln in loud.stderr.splitlines() if "tblim DEBUG: solve_bethe " in ln]
+        assert len(lines) == 1
+        assert lines[0].startswith("tblim DEBUG: solve_bethe n=16 K=5 L=9 plus: 10 levels, "
+                                   "10 seeds, ")
+        assert ", 10 accepted, 0 missing; seeding " in lines[0]
+        assert " s, Newton " in lines[0] and " s, checks " in lines[0]
+        levels = [ln for ln in loud.stderr.splitlines() if "tblim DEBUG: bethe " in ln]
+        assert len(levels) == 10
 
     def test_debug_logs_each_link_precision(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tblim.__file__)))

@@ -91,9 +91,12 @@ def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
     sides = {str(tmp_path): "base", str(ROOT): "change"}
-    order = []
+    order, traced = [], []
 
-    def fake_run(root, workload, seed, seconds):
+    def fake_run(root, workload, seed, seconds, trace=0):
+        if trace:
+            traced.append(sides[root])
+            return {"metrics": {"bethe.solve_bethe.self_s": {"value": len(traced), "unit": "s"}}}
         order.append(sides[root])
         speed = {"base": 10.0, "change": 12.0}[sides[root]] + order.count(sides[root])
         metrics = {"setup_s": 0.04, "ops_per_s": speed, "op_p50_s": 1.0 / speed,
@@ -106,6 +109,7 @@ def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
     bench_record.main(["--base", str(tmp_path), "--change", str(ROOT), "--workloads",
                        "recon-large", "--pairs", "3", "--out", str(out)])
     assert order == ["base", "change", "change", "base", "base", "change"]
+    assert traced == ["base", "change"]
     doc = json.loads(out.read_text())
     assert set(doc["environment"]) == {"cores", "machine", "python", "numpy", "mpmath"}
     entry = doc["workloads"]["recon-large"]
@@ -114,3 +118,5 @@ def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
         {"median": 14.0, "q1": 13.5, "q3": 14.5, "runs": [13.0, 14.0, 15.0]}
     assert entry["change_better_in_pairs"] == \
         {"setup_s": 0, "ops_per_s": 3, "op_p50_s": 3, "peak_rss_mb": 0}
+    assert entry["traced"] == {"base": {"bethe.solve_bethe.self_s": 1},
+                               "change": {"bethe.solve_bethe.self_s": 2}}
