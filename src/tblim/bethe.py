@@ -778,9 +778,9 @@ def _closed_form_seeds(p, basis, targets):
 def _polish(p, variant, roots, why):
     """Newton on each seeded row of ``roots``, in place.  One stacked
     residual call gives every first residual; a row already below Newton's
-    tolerance takes no step, and one whose residual is not finite fails, as
-    ``_newton`` would return them.  Returns per row whether it converged
-    and its Newton steps, and the count of rows passed to ``_newton``."""
+    tolerance takes no step, as ``_newton`` would return it.  Returns per
+    row whether it converged and its Newton steps, and the count of rows
+    passed to ``_newton``."""
     seeded = [k for k, reason in enumerate(why) if reason is None]
     first = _residuals(p, variant, roots[seeded])
     ok = np.zeros(len(roots), dtype=bool)
@@ -788,10 +788,9 @@ def _polish(p, variant, roots, why):
     runs = 0
     system = lambda x: _residuals(p, variant, x)
     for k, fx in zip(seeded, first):
-        n0 = float(np.linalg.norm(fx))
-        if n0 < _NEWTON_TOL:
+        if float(np.linalg.norm(fx)) < _NEWTON_TOL:
             ok[k] = True
-        elif np.isfinite(n0):
+        else:
             roots[k], ok[k], steps[k] = _newton(system, roots[k], _NEWTON_MAX_ITER)
             runs += 1
     return ok, steps, runs

@@ -221,56 +221,37 @@ def cmd_bethe(args):
     return EXIT_OK
 
 
-def _check_signal_row(line, parts, n):
-    """Raise TblimError naming a row of a signal file that is not
-    index,re,im with 0 <= index < 2n."""
-    if len(parts) != 3:
-        raise TblimError(f"malformed signal row {line!r}; expected index,re,im")
-    try:
-        idx, _re, _im = int(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise TblimError(f"malformed signal row {line!r}: {exc}") from exc
-    if not 0 <= idx < 2 * n:
-        raise TblimError(f"signal index {idx} outside 0..{2 * n - 1}")
-
-
 def _read_signal_csv(path, n):
     """The 2n complex samples of a signal file: rows index,re,im after an
     optional header, blank lines skipped, the last row of an index winning.
-    The lines are split once and the columns converted as whole lists, by
-    Python's int and float; on any error the rows are checked in order and
-    the first bad one is named."""
+    The rows are checked in order and the first bad one is named."""
     try:
         with open(path) as fh:
-            lines = [ln for ln in (raw.strip() for raw in fh.read().split("\n")) if ln]
+            lines = [ln for ln in map(str.strip, fh) if ln]
     except OSError as exc:
         raise TblimError(f"cannot read signal file {path!r}: {exc}") from exc
     start = 1 if lines and lines[0].lower().replace(" ", "").startswith("index") else 0
-    body = lines[start:]
-    rows = [ln.split(",") for ln in body]
-    try:
-        if any(len(parts) != 3 for parts in rows):
-            raise ValueError
-        index, re_col, im_col = zip(*rows) if rows else ((), (), ())
-        index = list(map(int, index))
-        re_v, im_v = list(map(float, re_col)), list(map(float, im_col))
-        if index and not (0 <= min(index) and max(index) < 2 * n):
-            raise ValueError
-    except ValueError:
-        for line, parts in zip(body, rows):
-            _check_signal_row(line, parts, n)
-        raise                   # not reached: some row fails its own check
+    index, re_v, im_v = [], [], []
+    for ln in lines[start:]:
+        parts = ln.split(",")
+        if len(parts) != 3:
+            raise TblimError(f"malformed signal row {ln!r}; expected index,re,im")
+        try:
+            idx = int(parts[0])
+            re_v.append(float(parts[1]))
+            im_v.append(float(parts[2]))
+        except ValueError as exc:
+            raise TblimError(f"malformed signal row {ln!r}: {exc}") from exc
+        if not 0 <= idx < 2 * n:
+            raise TblimError(f"signal index {idx} outside 0..{2 * n - 1}")
+        index.append(idx)
+    # the last row of each index, found as the first in reversed order
+    where, last = np.unique(np.array(index[::-1], dtype=int), return_index=True)
+    if where.size < 2 * n:
+        raise TblimError(f"signal file misses {2 * n - where.size} of {2 * n} samples")
     values = np.zeros(2 * n, dtype=complex)
-    seen = np.zeros(2 * n, dtype=bool)
-    if index:
-        # the last row of each index, found as the first in reversed order
-        where, last = np.unique(np.array(index[::-1]), return_index=True)
-        values.real[where] = np.array(re_v[::-1])[last]
-        values.imag[where] = np.array(im_v[::-1])[last]
-        seen[where] = True
-    if not seen.all():
-        missing = int(np.count_nonzero(~seen))
-        raise TblimError(f"signal file misses {missing} of {2 * n} samples")
+    values.real[where] = np.array(re_v[::-1])[last]
+    values.imag[where] = np.array(im_v[::-1])[last]
     return values
 
 

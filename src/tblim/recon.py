@@ -86,11 +86,6 @@ def forward_observe(f, p):
     Raises when the signal leaks outside the time window; the observation is
     only defined for window-supported inputs.
     """
-    return _observe(f, p, band_window_block(p))
-
-
-def _observe(f, p, e):
-    """``forward_observe`` through the band x window block ``e`` of p."""
     if not isinstance(f, SignalVector) or f.basis is not position_kind(p.parity):
         raise DomainError("expected a position-basis signal of matching parity")
     if f.coeffs.size != p.dim:
@@ -98,7 +93,7 @@ def _observe(f, p, e):
     leak = float(np.linalg.norm(f.coeffs[p.time_rank:]))
     if leak > 1e-10 * max(1.0, f.norm()):
         raise SupportError(f"signal leaks outside the time window (norm {leak:.3e})")
-    return ObservedData(e @ f.coeffs[: p.time_rank], p)
+    return ObservedData(band_window_block(p) @ f.coeffs[: p.time_rank], p)
 
 
 def reconstruction_verdict(sigmas, window_rank, zero_tol=None):
@@ -146,14 +141,9 @@ def reconstruct(data, zero_tol=None):
     kept and the first discarded sigma; with no mode kept the solution is
     zero.
     """
-    return _reconstruct(data, band_window_block(data.params), zero_tol)
-
-
-def _reconstruct(data, e, zero_tol):
-    """``reconstruct`` through the band x window block ``e`` of the data's
-    parameters."""
     check_tolerance(zero_tol)
     p = data.params
+    e = band_window_block(p)
     rhs = np.stack((data.values.real, data.values.imag), 1)
     rcond = DEFAULT_ZERO_TOL_REL
     x, rank, s = _lstsq(e, rhs, rcond)
@@ -214,8 +204,7 @@ def _reflect(values):
 
 def reconstruct_signal(values, n, K, L, zero_tol=None):
     """Full-signal convenience wrapper: parity-split an ambient length-2n
-    signal, observe and reconstruct each branch, and merge.  Each branch
-    builds its band x window block once, for both steps.
+    signal, observe and reconstruct each branch, and merge.
 
     Returns (report_plus, report_minus, merged ambient reconstruction).
     """
@@ -229,8 +218,7 @@ def reconstruct_signal(values, n, K, L, zero_tol=None):
         part = 0.5 * (values + _reflect(values)) if parity is Parity.PLUS \
             else 0.5 * (values - _reflect(values))
         sv = coefficients_of(part, p, position_kind(parity))
-        e = band_window_block(p)
-        report = _reconstruct(_observe(sv, p, e), e, zero_tol)
+        report = reconstruct(forward_observe(sv, p), zero_tol)
         reports[parity] = report
         merged += grid_values(report.f_hat, p)
     return reports[Parity.PLUS], reports[Parity.MINUS], merged
