@@ -12,24 +12,24 @@ implemented:
 * ``PLUS``          - symmetric subspace, inhomogeneous equations,
                       L roots for the L+1 window modes.
 
-Roots live in grid units.  Each window eigenvector is a Bethe state, and the
-scaled state is a fixed linear combination of the elementary symmetric
-polynomials of w = cos(pi*x/n) over the roots; so a linear solve gives
-those polynomials, and the roots follow in closed form as the zeros of one
-polynomial in w.  A damped Newton iteration polishes a seed on the Bethe
-equations, whose residuals are evaluated in cleared-denominator form
-(normalized by the magnitude of the cleared sides so the defect stays
-meaningful for roots with large imaginary part).  A candidate root set is
-accepted only if its eigenvalue formula is independent of the spectral
-parameter and matches a still-unmatched window eigenvalue.
+Roots live in grid units.  Times Baxter's Q(u) = prod_i (w_i - W(u)), where
+w = cos(pi*x/n) and W(u) = cos(pi*u/n), the eigenvalue formula is a TQ
+relation linear in Q, whose matrix on a Chebyshev basis in W is the window
+block of T under a diagonal similarity; so a window eigenvector, scaled,
+gives Q, and the roots follow as Q's zeros.  A damped Newton iteration
+polishes a seed on the Bethe equations, whose residuals are evaluated in
+cleared-denominator form (normalized by the magnitude of the cleared sides
+so the defect stays meaningful for roots with large imaginary part).  A
+candidate root set is accepted only if its eigenvalue formula is independent
+of the spectral parameter and matches a still-unmatched window eigenvalue.
 
-The solver takes all window levels of an instance together: one solve with
-every window eigenvector as a right-hand side and one stacked companion
-eigenvalue call give every seed, one residual call on the stack of seeds
-picks the levels Newton must polish (the rest take no step), and one pass
-over the stack of polished root sets makes the acceptance checks.  Only
-Newton runs level by level.  The levels are then booked in order, as a
-level-by-level solve would book them.
+The solver takes all window levels of an instance together: one stacked
+colleague eigenvalue call gives every seed, one residual call on the stack
+of seeds picks the levels Newton must polish (the rest take no step), and
+one pass over the polished root sets, and one over the moved seeds whose
+polished sets fail, make the acceptance checks.  Only Newton runs level by
+level.  The levels are then booked in order, as a level-by-level solve would
+book them.
 
 The dynamical operators D(u, m) and B(u, m) are combinations of the Leonard
 pair A, A*, {A, A*}, [A, A*] and I, all tridiagonal: each is held as a band
@@ -258,7 +258,8 @@ def _D_band(p, u, m, couplings=None):
 
 def _B_linear_parts(p, m):
     """Bands (M0, M1) with s(2m) B(u, m) = M0 + cos(pi*u/n) M1 for the slot
-    m; the product state is multilinear in the cosines of the roots.
+    m, so that a caller with several arguments u builds the slot's parts
+    once.
 
     M0 = c(1) A - c(2m) {A, A*} / (4 c(1)) + s(2m) [A, A*] / (4 s(1)) has a
     zero diagonal and M1 = 2 c(2m) - A* zero couplings; the coupling rows of
@@ -714,65 +715,49 @@ def _eigenvalue_profile(p, variant, roots):
     return np.mean(ts.real, axis=-1), spread, pole
 
 
-def _state_basis(p, variant):
-    """Columns V_0..V_m of the scaled Bethe state, cut to m + 1 window rows.
+def _q_coefficients(p, variant, vectors):
+    """Baxter's Q on the Chebyshev basis B_k = T_k(W) (plus) or U_k(W)
+    (first, second), W = cos(pi*u/n), for each row v of a stack (N, m + 1)
+    of window eigenvectors cut to m + 1 entries.
 
-    Each scaled factor is M0 + w M1 with w = cos(pi*x/n), and the exchange
-    relation makes the product symmetric in the roots, so the scaled state is
-    sum_k e_k(w) V_k with e_k the elementary symmetric polynomials of the w's.
-    V_k is the product with M1 in the first k slots and M0 in the rest,
-    applied to the vacuum.
+    Times Q(u) = prod_i (w_i - W(u)) the eigenvalue formula is Baxter's TQ
+    relation, whose matrix on this basis is the window block of T under the
+    diagonal similarity q_k = r_k v_k, with r_0 = 1 and r_(k+1)/r_k equal to
+    sqrt(2)^[k=0] s(L+1+k)/s(L-k) (plus), s(L+2+k)/s(L-1-k) (second) or
+    s(L-1-k)/s(L+2+k) (first).  A ratio at a zero of s is exactly 0: s(2L)
+    of the plus ansatz at L = n, where Q loses degree.
     """
-    parts = [_B_linear_parts(p, m) for m in bethe_slots(variant, p.L)]
-    m = len(parts)
-    cols = [_create(p, [part[1 if i < k else 0] for i, part in enumerate(parts)])[: m + 1]
-            for k in range(m + 1)]
-    return np.column_stack(cols)
+    k = np.arange(vectors.shape[-1] - 1)
+    if variant is AnsatzVariant.PLUS:
+        num, den = trig_s(p, p.L + 1 + k) * np.where(k == 0, np.sqrt(2), 1.0), trig_s(p, p.L - k)
+    elif variant is AnsatzVariant.MINUS_SECOND:
+        num, den = trig_s(p, p.L + 2 + k), trig_s(p, p.L - 1 - k)
+    else:
+        num, den = trig_s(p, p.L - 1 - k), trig_s(p, p.L + 2 + k)
+    ratios = np.where(np.abs(num) < _POLE_TOL, 0.0, num / den)
+    return vectors * np.cumprod(np.concatenate([[1.0], ratios]))
 
 
-def _companion_zeros(coeffs):
-    """``np.roots`` of each row of a stack (N, m + 1) of coefficients with a
-    nonzero leading entry: the eigenvalues of its companion matrix, one
-    stacked call per count of exact trailing zeros, which ``np.roots`` drops,
-    appending a zero root for each."""
-    count, m = coeffs.shape[0], coeffs.shape[1] - 1
-    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
-    zeros = np.zeros((count, m), dtype=complex)
-    for t in np.unique(trailing).tolist():
-        rows, size = trailing == t, m - t
-        if size:
-            comp = np.zeros((np.count_nonzero(rows), size, size), dtype=coeffs.dtype)
-            comp[:, np.arange(1, size), np.arange(size - 1)] = 1
-            comp[:, 0] = -coeffs[rows, 1: size + 1] / coeffs[rows, :1]
-            zeros[rows, :size] = np.linalg.eigvals(comp)
-    return zeros
-
-
-def _closed_form_seeds(p, basis, targets):
-    """Roots whose scaled Bethe state is proportional to each column of
-    ``targets``.
-
-    Solving V c = v for all columns at once gives e_k = c_k / c_0; the w's
-    are the zeros of sum_k (-1)^k e_k z^(m-k) and x = (n/pi) arccos w.
-    Returns one row of roots per column (NaN where there is none) and, per
-    column, None or the reason there is no seed: V is singular, or c_0
-    vanishes.
+def _q_seeds(p, variant, vectors):
+    """Roots whose Q has the ``_q_coefficients`` of each row of ``vectors``
+    (NaN where Q loses degree), and per row None or the reason there is none.
+    The w's are the eigenvalues of the colleague matrices, in one stacked
+    call: multiplication by W on B_0..B_(m-1), W B_k = (B_(k-1) + B_(k+1))/2
+    and W T_0 = T_1, with B_m = -sum_(k<m) q_k B_k / q_m; x = (n/pi) arccos w.
     """
-    m = basis.shape[1] - 1
-    roots = np.full((targets.shape[1], m), np.nan, dtype=complex)
-    try:
-        c = np.linalg.solve(basis, targets).T
-    except np.linalg.LinAlgError:
-        return roots, ["singular V"] * targets.shape[1]
-    finite = np.all(np.isfinite(c), axis=1)
-    why = [None if f and c0 != 0 else "c0 = 0" if f else "singular V"
-           for f, c0 in zip(finite.tolist(), c[:, 0].tolist())]
-    good = np.array([w is None for w in why])
-    if good.any():
-        c = c[good]
-        w = _companion_zeros(c / c[:, :1] * (-1.0) ** np.arange(m + 1))
-        roots[good] = p.n / np.pi * np.arccos(w)
-    return roots, why
+    q = _q_coefficients(p, variant, vectors)
+    count, m = q.shape[0], q.shape[1] - 1
+    roots = np.full((count, m), np.nan, dtype=complex)
+    good = q[:, -1] != 0
+    up = np.full(m, 0.5)
+    if variant is AnsatzVariant.PLUS:
+        up[0] = 1.0
+    comp = np.zeros((np.count_nonzero(good), m, m), dtype=q.dtype)
+    comp[:, np.arange(1, m), np.arange(m - 1)] = 0.5
+    comp[:, np.arange(m - 1), np.arange(1, m)] = up[:-1]
+    comp[:, -1] -= up[-1] * q[good, :m] / q[good, m:]
+    roots[good] = p.n / np.pi * np.arccos(np.linalg.eigvals(comp).astype(complex))
+    return roots, [None if g else "Q loses degree" for g in good.tolist()]
 
 
 def _polish(p, variant, roots, why):
@@ -824,23 +809,25 @@ def _acceptance(p, variant, roots, residual_tol, t_targets):
 def solve_bethe(p, variant, residual_tol=1e-9):
     """Solve the Bethe equations and match every window eigenvalue.
 
-    All window levels of the instance go through three stacked passes.
-    Every window eigenvector gives one seed in closed form, from one linear
-    solve and one stacked companion eigenvalue call
-    (``_closed_form_seeds``).  One residual call on the stack of seeds
-    finds the levels Newton must polish on the cleared equations; the rest
-    take no step (``_polish``).  One pass checks every polished root set
+    All window levels of the instance go through stacked passes.  Every
+    window eigenvector, cut to m + 1 entries and scaled in closed form, gives
+    Baxter's Q, and one stacked colleague eigenvalue call gives every seed
+    (``_q_seeds``).  One residual call on the stack of seeds finds the levels
+    Newton must polish on the cleared equations; the rest take no step
+    (``_polish``).  One pass checks every polished root set
     (``_acceptance``): a candidate is accepted when its cleared residual is
     at most ``residual_tol``, its eigenvalue is u-independent, and it
-    matches an unmatched window eigenvalue within 1e-6.  The levels are then
-    booked in order, as a level-by-level solve would book them: a level
-    already matched by an earlier seed is skipped, and a second root set
-    for a matched level counts as an extra match.  A level whose seed fails
-    (singular V, vanishing c_0, Newton or a check rejects it) is reported in
-    ``missing_levels``; the solve is deterministic.  At log level DEBUG each
-    window level logs its outcome, Newton steps, residual and u-spread, and
-    the solve logs its counts and the seconds spent seeding, in Newton and
-    in the checks.
+    matches an unmatched window eigenvalue within 1e-6.  Newton can move a
+    seed that passes onto a set that fails, so one more pass checks the
+    moved seeds whose polished sets fail.  The levels are then booked in
+    order, as a level-by-level solve would book them: a level already
+    matched by an earlier seed is skipped, and a second root set for a
+    matched level counts as an extra match.  A level whose seed fails (Q
+    loses degree, Newton fails, or a check rejects both the polished set and
+    the seed) is reported in ``missing_levels``; the solve is deterministic.
+    At log level DEBUG each window level logs its outcome, Newton steps,
+    residual and u-spread, and the solve logs its counts and the seconds
+    spent seeding, in Newton and in the checks.
     """
     check_tolerance(residual_tol)
     if variant.parity is not p.parity:
@@ -861,14 +848,22 @@ def solve_bethe(p, variant, residual_tol=1e-9):
         # one rootless candidate, with nothing to seed or polish
         roots, why = np.zeros((1, 0), dtype=complex), [None]
     else:
-        targets = np.column_stack([mode.vector.coeffs[: m + 1] for mode in modes])
-        roots, why = _closed_form_seeds(p, _state_basis(p, variant), targets)
+        vectors = np.array([mode.vector.coeffs[: m + 1] for mode in modes])
+        roots, why = _q_seeds(p, variant, vectors)
+    seeds = roots.copy()
     clock.append(time.perf_counter())
     ok, steps, runs = _polish(p, variant, roots, why)
     clock.append(time.perf_counter())
     checked = np.flatnonzero(ok)
     verdicts = dict(zip(checked.tolist(), zip(*_acceptance(
         p, variant, roots[checked], residual_tol, t_targets))))
+    # Newton can move a seed that passes every check onto a set that fails
+    # one, so a moved seed whose polished set fails is checked as seeded
+    moved = [k for k in np.flatnonzero(steps).tolist() if not ok[k] or verdicts[k][1]]
+    on_seed = {}
+    if moved:                           # an empty pass costs as much as a small one
+        checks = _acceptance(p, variant, seeds[moved], residual_tol, t_targets)
+        on_seed = {k: verdict for k, verdict in zip(moved, zip(*checks)) if not verdict[1]}
 
     debug = log.isEnabledFor(logging.DEBUG)
 
@@ -879,42 +874,46 @@ def solve_bethe(p, variant, residual_tol=1e-9):
                       k, outcome, n_steps, res, spread)
 
     matched = {}
-    extra = seeds = 0
+    extra = starts = 0
     for k, reason in enumerate(why):
         if k in matched:
             report(k, 0, "matched by an earlier seed")
             continue
-        seeds += 1
+        starts += 1
         if reason is not None:
             report(k, 0, reason)
             continue
-        if not ok[k]:
+        verdict = on_seed.get(k, verdicts.get(k))
+        if verdict is None:
             report(k, steps[k], "Newton failed")
             continue
-        canon, outcome, res, spread, t_mean, j = verdicts[k]
+        canon, outcome, res, spread, t_mean, j = verdict
+        how = " on its seed" if k in on_seed else ""
         if outcome:
             report(k, steps[k], outcome, res, spread)
         elif j in matched:
             if np.max(np.abs(matched[j].roots - canon)) > 1e-6:
                 extra += 1
-            report(k, steps[k], f"re-hit matched level {j}", res, spread)
+            report(k, steps[k], f"re-hit matched level {j}{how}", res, spread)
         else:
             matched[j] = BetheRootSet(
                 variant=variant, roots=canon, residual=res,
                 eigenvalue=complex(t_mean), level=j,
                 t_spectral=float(t_targets[j]), u_spread=spread,
             )
-            report(k, steps[k], f"accepted as level {j}", res, spread)
+            report(k, steps[k], f"accepted as level {j}{how}", res, spread)
     clock.append(time.perf_counter())
 
-    starts = seeds if m else 0          # the rootless level needs no seed
+    if not m:
+        starts = 0                      # the rootless level needs no seed
     missing = [k for k in range(len(modes)) if k not in matched]
     if debug:
         seed_s, newton_s, check_s = np.diff(clock)
         log.debug("solve_bethe n=%d K=%d L=%d %s: %d levels, %d seeds, %d Newton runs, "
-                  "%d with steps, %d accepted, %d missing; seeding %.3e s, Newton %.3e s, "
-                  "checks %.3e s", p.n, p.K, p.L, variant.value, len(modes), starts, runs,
-                  np.count_nonzero(steps), len(matched), len(missing), seed_s, newton_s, check_s)
+                  "%d with steps, %d seed checks after Newton, %d accepted, %d missing; "
+                  "seeding %.3e s, Newton %.3e s, checks %.3e s", p.n, p.K, p.L,
+                  variant.value, len(modes), starts, runs, np.count_nonzero(steps), len(moved),
+                  len(matched), len(missing), seed_s, newton_s, check_s)
     return BetheSolveResult(
         variant,
         [matched[k] for k in sorted(matched)],

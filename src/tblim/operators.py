@@ -35,7 +35,6 @@ __all__ = [
     "TridiagonalOperator",
     "projector_time",
     "projector_band",
-    "projector_band_momentum",
     "tb_operator",
     "leonard_pair",
     "heun_general",
@@ -58,11 +57,6 @@ def projector_time(p):
     """Time-window projector: diagonal 0/1 in the position basis, keeping
     labels j <= L."""
     return DenseOperator(np.diag(_keep(p, p.L)), position_kind(p.parity), hermitian=True)
-
-
-def projector_band_momentum(p):
-    """Band projector in its own eigenbasis: diagonal 0/1 keeping k <= K."""
-    return DenseOperator(np.diag(_keep(p, p.K)), momentum_kind(p.parity), hermitian=True)
 
 
 def projector_band(p):

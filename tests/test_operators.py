@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tblim.core_model import (
+    DenseOperator,
     ModelParams,
     Parity,
     SignalVector,
     momentum_basis,
+    momentum_kind,
     position_basis,
     position_kind,
 )
@@ -24,7 +26,6 @@ from tblim.operators import (
     heun_tb_momentum,
     leonard_pair,
     projector_band,
-    projector_band_momentum,
     projector_time,
     tb_operator,
     to_momentum_basis,
@@ -261,8 +262,9 @@ class TestConcentrationRatio:
 class TestBasisDiscipline:
     def test_mixed_basis_product_rejected(self):
         p = make(5, 2, 3, Parity.PLUS)
+        band = DenseOperator(np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), momentum_kind(p.parity))
         with pytest.raises(BasisMismatchError):
-            projector_time(p) @ projector_band_momentum(p)
+            projector_time(p) @ band
 
 
 class TestHeunCoefficientsContext:

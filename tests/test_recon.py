@@ -36,7 +36,6 @@ class TestForwardObserve:
         assert data.values.size == p.band_rank
 
     def test_matches_projector_product(self):
-        from tblim.operators import projector_band_momentum, projector_time
         from tblim.core_model import fourier_matrix
 
         p = make(8, 3, 4, Parity.MINUS)
