@@ -11,7 +11,8 @@ values, the operations attempted and failed, in how many pairs the change
 was better, and the per-layer metrics of the traced run; plus the core
 count, the Python, numpy and mpmath versions, and a sha256 of each side's
 src/tblim.  A traced run writes its spans under the checkout's
-perfbench/out/.
+perfbench/out/.  Every run gets its own empty PYTHONPYCACHEPREFIX, so both
+sides compile from source alike, whatever __pycache__ a checkout holds.
 
 Usage:
     python scripts/bench_record.py --base ../parent --change . --pairs 10 \\
@@ -20,12 +21,14 @@ Usage:
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import mpmath
@@ -40,12 +43,15 @@ def program_digest(root):
     return h.hexdigest()
 
 
-def run_once(root, workload, seed, seconds, trace=0):
-    """One benchmark run; its result object (the last stdout line)."""
+def run_once(root, workload, seed, seconds, trace=0, pycache=None):
+    """One benchmark run; its result object (the last stdout line).  With
+    ``pycache`` set, Python keeps its bytecode under that directory only, so
+    a stale __pycache__ in the checkout cannot change the measured import."""
+    env = dict(os.environ, **({"PYTHONPYCACHEPREFIX": pycache} if pycache else {}))
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, check=False)
+        cwd=root, env=env, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"bench_record: {workload} in {root} printed no result:\n{out.stderr}")
@@ -60,12 +66,20 @@ def summary(values):
 
 def record(base, change, workloads, metrics, pairs, seconds, seed):
     sides = {"base": base, "change": change}
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
+        # each run of each side starts from its own empty bytecode cache
+        caches = (os.path.join(scratch, str(i)) for i in itertools.count())
+        return _record(sides, workloads, metrics, pairs, seconds, seed, caches)
+
+
+def _record(sides, workloads, metrics, pairs, seconds, seed, caches):
     out = {}
     for workload in workloads:
         runs = {side: [] for side in sides}
         for i in range(pairs):
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                runs[side].append(run_once(sides[side], workload, seed, seconds))
+                runs[side].append(run_once(sides[side], workload, seed, seconds,
+                                            pycache=next(caches)))
                 print(f"bench_record: {workload} pair {i + 1}/{pairs} {side} done", file=sys.stderr)
         entry = {}
         for side, results in runs.items():
@@ -83,7 +97,7 @@ def record(base, change, workloads, metrics, pairs, seconds, seed):
             for m in metrics}
         entry["traced"] = {}
         for side, root in sides.items():
-            result = run_once(root, workload, seed, seconds, trace=1)
+            result = run_once(root, workload, seed, seconds, trace=1, pycache=next(caches))
             entry["traced"][side] = {name: metric["value"]
                                      for name, metric in result["metrics"].items()}
             print(f"bench_record: {workload} traced {side} done", file=sys.stderr)

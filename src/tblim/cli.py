@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import logging
 import os
@@ -25,7 +26,7 @@ from .errors import TblimError, check_tolerance
 from .operators import heun_tb, heun_tb_momentum, leonard_pair, projector_band, projector_time, tb_operator
 from .recon import reconstruct_signal
 from .serialize import canonical_json, csv_lines, pack_operator, unpack_operator
-from .spectral import joint_spectrum
+from .spectral import joint_spectra
 from .verify import run_suite
 
 log = logging.getLogger("tblim")
@@ -86,8 +87,29 @@ def cmd_build(args):
     return EXIT_OK
 
 
-def _spectrum_rows(p):
-    return [(ell, m.t, m.q, m.residual) for ell, m in enumerate(joint_spectrum(p))]
+# bytes of window eigenvectors that one stacked ``joint_spectra`` call holds
+_STACK_BYTES = 1 << 20
+
+
+def _spectrum_rows(settings):
+    """Per instance, given as ModelParams keywords of one n and parity, its
+    (ell, t, q, residual) rows or the message of its TblimError.  Instances
+    of one window rank m share ``joint_spectra`` calls of at most
+    _STACK_BYTES // (8 m^2) instances."""
+    out, ranks = {}, {}
+    for i, kw in enumerate(settings):
+        try:
+            p = ModelParams(**kw)
+            ranks.setdefault(p.time_rank, []).append((i, p))
+        except TblimError as exc:
+            out[i] = str(exc)
+    for m, members in ranks.items():
+        size = max(1, _STACK_BYTES // (8 * m * m or 1))
+        for chunk in (members[lo:lo + size] for lo in range(0, len(members), size)):
+            t, q, r, _, errors = joint_spectra([p for _, p in chunk])
+            for (i, _), *cols, err in zip(chunk, t.tolist(), q.tolist(), r.tolist(), errors):
+                out[i] = err or list(zip(range(m), *cols))
+    return [out[i] for i in range(len(settings))]
 
 
 def _parse_sweep(expr, n):
@@ -100,18 +122,15 @@ def _parse_sweep(expr, n):
 
 
 def cmd_spectrum(args):
+    base = {"n": args.n, "K": args.K, "L": args.L, "parity": Parity(args.parity)}
     if args.sweep:
         var, values = _parse_sweep(args.sweep, args.n)
-        base = {"n": args.n, "K": args.K, "L": args.L, "parity": Parity(args.parity)}
-        results, errors = {}, {}
-        for v in values:
-            try:
-                results[v] = _spectrum_rows(ModelParams(**{**base, var: v}))
-            except TblimError as exc:
-                log.error("sweep %s=%d: %s", var, v, exc)
-                errors[v] = str(exc)
+        results = dict(zip(values, _spectrum_rows([{**base, var: v} for v in values])))
+        errors = {v: rows for v, rows in results.items() if isinstance(rows, str)}
+        for v, msg in errors.items():
+            log.error("sweep %s=%d: %s", var, v, msg)
         if args.fmt == "csv":
-            rows = [(v, *row) for v, per in results.items() for row in per]
+            rows = [(v, *row) for v in values if v not in errors for row in results[v]]
             _write(args, csv_lines([var, "ell", "t", "q", "residual"], rows))
         else:
             entries = [{"value": v, "error": errors[v]} if v in errors else
@@ -122,7 +141,9 @@ def cmd_spectrum(args):
                    "results": entries}
             _write(args, canonical_json(doc))
         return EXIT_INPUT if errors else EXIT_OK
-    rows = _spectrum_rows(_params(args))
+    (rows,) = _spectrum_rows([base])
+    if isinstance(rows, str):
+        raise TblimError(rows)
     if args.fmt == "csv":
         _write(args, csv_lines(["ell", "t", "q", "residual"], rows))
     else:
@@ -133,12 +154,17 @@ def cmd_spectrum(args):
 
 
 def _compare_stored(args, p, checks):
+    paused = gc.isenabled()
+    gc.disable()        # the parsed document holds no cycles to collect
     try:
         with open(args.operators) as fh:
             stored = json.load(fh)
         payloads = stored["operators"]
     except (OSError, ValueError, KeyError) as exc:
         raise TblimError(f"cannot read operator file {args.operators!r}: {exc}") from exc
+    finally:
+        if paused:
+            gc.enable()
     fresh = _operators(p)
     from .verify import CheckResult
 
@@ -192,12 +218,11 @@ def cmd_bethe(args):
         raise TblimError(f"ansatz {args.ansatz!r} lives on parity {variant.parity.value}")
     result = solve_bethe(p, variant) if args.tol is None \
         else solve_bethe(p, variant, residual_tol=args.tol)
-    rows = []
-    for rs in result.root_sets:
-        roots = ";".join(f"{x.real:.17g}{x.imag:+.17g}j" for x in rs.roots)
-        rows.append((rs.level, rs.eigenvalue.real, rs.t_spectral,
-                     abs(rs.eigenvalue.real - rs.t_spectral), rs.residual, rs.u_spread, roots))
     if args.fmt == "csv":
+        rows = [(rs.level, rs.eigenvalue.real, rs.t_spectral,
+                 abs(rs.eigenvalue.real - rs.t_spectral), rs.residual, rs.u_spread,
+                 ";".join(f"{x.real:.17g}{x.imag:+.17g}j" for x in rs.roots))
+                for rs in result.root_sets]
         _write(args, csv_lines(
             ["ell", "t_bethe", "t_spectral", "abs_dt", "residual", "u_spread", "roots"], rows))
     else:

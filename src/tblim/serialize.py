@@ -11,8 +11,6 @@ basis tag and dimension.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core_model import BasisKind, DenseOperator
@@ -33,7 +31,8 @@ def format_float(x):
 
 
 def _json_float(x):
-    return format_float(x) if math.isfinite(x) else "null"
+    # format_float inline; x - x is 0.0 exactly when x is finite
+    return "%.17g" % (x + 0.0) if x - x == 0.0 else "null"
 
 
 def _float_array(a):
@@ -58,12 +57,24 @@ def _json_str(s):
     return f'"{out}"'
 
 
+_KEYS = {}      # quoted str keys with their colons; a str equals no other key type
+
+
+def _json_key(k):
+    text = _json_str(str(k)) + ":"
+    if type(k) is str and len(_KEYS) < 4096:
+        _KEYS[k] = text
+    return text
+
+
 # the dict and list handlers look up the handler of each value themselves,
-# which saves a call to ``_emit`` per value
+# which saves a call to ``_emit`` per value; the dict handler formats a
+# float value as ``_json_float`` does, without the call
 def _json_dict(d):
-    get = _EMITTERS.get
-    return "{" + ",".join([_json_str(str(k)) + ":" + get(type(v), _emit_other)(v)
-                           for k, v in sorted(d.items())]) + "}"
+    get, keys = _EMITTERS.get, _KEYS
+    return "{" + ",".join([(keys.get(k) or _json_key(k)) + (
+        ("%.17g" % (v + 0.0) if v - v == 0.0 else "null") if type(v) is float
+        else get(type(v), _emit_other)(v)) for k, v in sorted(d.items())]) + "}"
 
 
 def _json_list(items):
@@ -136,7 +147,4 @@ def csv_lines(header, rows):
             return format_float(v)
         return str(v)
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "".join([",".join(map(cell, row)) + "\n" for row in [header, *rows]])

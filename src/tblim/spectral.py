@@ -3,8 +3,9 @@ operators, a symmetric tridiagonal solver by Sturm-count bisection and
 inverse iteration, a dense Hermitian solver, and the singular values of
 the band x window block of the Fourier matrix.
 
-The joint spectrum diagonalizes the window block of the Heun operator with
-LAPACK and reads each concentration off the band x window Fourier block; the
+The joint spectrum diagonalizes the window blocks of the Heun operator, a
+stack of instances per LAPACK call, and reads each concentration off the
+band x window Fourier block; the
 singular values are those of that same block, computed without singular
 vectors, so no n x n matrix is formed on either route.
 The bisection solver, which calls no LAPACK eigensolver, and the dense
@@ -40,6 +41,7 @@ __all__ = [
     "eig_sym_dense",
     "svd_E",
     "joint_spectrum",
+    "joint_spectra",
 ]
 
 log = logging.getLogger("tblim")
@@ -204,7 +206,9 @@ def _sturm_values(t):
     for lo, hi in blocks:
         values[lo:hi] = _bisect_block(d[lo:hi], off[lo:hi - 1])
     order = np.argsort(values, kind="stable")
-    _check_simple(t, values[order])
+    error = _gap_error(t, values[order])
+    if error:
+        raise DegeneracyError(error)
     return values, order, blocks
 
 
@@ -242,17 +246,16 @@ def eig_sym_tridiag(t):
     return Spectrum(values, vectors, residuals, t.basis)
 
 
-def _check_simple(t, values):
-    """Raise when an unreduced tridiagonal operator (every off-diagonal
-    nonzero, so mathematically simple spectrum) has numerically coincident
-    ascending eigenvalues ``values``."""
+def _gap_error(t, values):
+    """The DegeneracyError message when an unreduced tridiagonal operator
+    (every off-diagonal nonzero, so mathematically simple spectrum) has
+    numerically coincident ascending eigenvalues ``values``, else None."""
     if t.dim > 1 and np.all(np.abs(t.offdiag) > 0.0):
         scale = max(np.max(np.abs(values)), 1.0)
         gap = np.min(np.diff(values))
         if gap <= 1e-12 * scale:
-            raise DegeneracyError(
-                f"unreduced tridiagonal block produced eigenvalue gap {gap:.3e}"
-            )
+            return f"unreduced tridiagonal block produced eigenvalue gap {gap:.3e}"
+    return None
 
 
 def eig_sym_dense(m):
@@ -283,43 +286,59 @@ def svd_E(p):
     return sigmas
 
 
-def joint_spectrum(p):
-    """Simultaneous eigenpairs (t, q) on the window subspace.
+def joint_spectra(ps):
+    """Simultaneous eigenpairs (t, q) on the window subspace of instances
+    sharing n, parity and window rank m, in one stacked pass.
 
-    The Heun operator decouples exactly at the window edge; its leading block
-    is made dense and diagonalized by LAPACK, and eigenvectors are
-    zero-padded.  The time-band operator vanishes outside the window, where
-    it equals E^T E for the band x window Fourier block E, so each mode's
-    concentration is q = ||E v||^2 (exact because the block spectrum is
-    simple).  The residual ||E^T E v - q v|| guards that assumption.  Modes
-    come back sorted by descending q, ties broken by ascending t.
+    The Heun operator decouples exactly at the window edge; the leading
+    blocks are made dense and diagonalized by one LAPACK call.  On the window
+    the time-band operator is E^T E for the band x window Fourier block E,
+    so q = ||E v||^2 (exact because the block spectrum is simple), and the
+    residual ||E^T E v - q v|| guards that assumption.  Each E is a row
+    prefix of one E at the largest band rank, multiplied at its own shape
+    (rows of a larger product can differ in the last bit).  Returns t, q and
+    residuals as (g, m) arrays, each row by descending q, ties by ascending
+    t; the (g, m, m) eigenvectors, one per row in that order; and per
+    instance its DegeneracyError message or None.
     """
-    dim = p.time_rank
-    if dim == 0:
-        return []
-    block = heun_tb(p).block(dim)
-    dense = np.diag(block.diag) + np.diag(block.offdiag, 1) + np.diag(block.offdiag, -1)
+    m = ps[0].time_rank
+    blocks = [heun_tb(p).block(m) for p in ps]
+    i = np.arange(m)
+    dense = np.zeros((len(ps), m, m))
+    # adding 0.0 reads -0.0 as 0.0, as a sum of np.diag matrices does
+    dense[:, i, i] = [b.diag + 0.0 for b in blocks]
+    dense[:, i[1:], i[:-1]] = dense[:, i[:-1], i[1:]] = [b.offdiag + 0.0 for b in blocks]
     values, vectors = np.linalg.eigh(dense)
-    _check_simple(block, values)
-    e = band_window_block(p)
-    ev = e @ vectors
-    qs = np.sum(ev * ev, axis=0)
-    residuals = np.linalg.norm(e.T @ ev - qs * vectors, axis=0)
-    worst = float(np.max(residuals))
-    if log.isEnabledFor(logging.DEBUG):
-        gap = float(np.min(np.diff(values))) if dim > 1 else float("inf")
-        log.debug("joint_spectrum n=%d K=%d L=%d %s: window rank %d, "
-                  "min eigenvalue gap %.3e, max joint residual %.3e",
-                  p.n, p.K, p.L, p.parity.value, dim, gap, worst)
-    if worst > 1e-10:
-        raise DegeneracyError(
-            f"joint eigenvector residual {worst:.3e} exceeds 1e-10; "
-            "the Heun block spectrum is not resolving the time-band operator"
-        )
-    padded = np.zeros((dim, p.dim), dtype=complex)
-    padded[:, :dim] = vectors.T
-    kind = position_kind(p.parity)
-    modes = [JointMode(t=t, q=q, vector=SignalVector(v, kind), residual=r)
-             for t, q, v, r in zip(values.tolist(), qs.tolist(), padded, residuals.tolist())]
-    modes.sort(key=lambda m: (-m.q, m.t))
-    return modes
+    e_full = band_window_block(max(ps, key=lambda p: p.band_rank))
+    qs, residuals = np.zeros_like(values), np.zeros_like(values)
+    errors = [_gap_error(b, t) for b, t in zip(blocks, values)]
+    for k, (p, v) in enumerate(zip(ps, vectors)):
+        if errors[k]:
+            continue
+        e = e_full[: p.band_rank]
+        ev = e @ v
+        qs[k] = np.sum(ev * ev, axis=0)
+        residuals[k] = np.linalg.norm(e.T @ ev - qs[k] * v, axis=0)
+        worst = float(np.max(residuals[k], initial=0.0))
+        if m and log.isEnabledFor(logging.DEBUG):
+            gap = float(np.min(np.diff(values[k]))) if m > 1 else float("inf")
+            log.debug("joint_spectrum n=%d K=%d L=%d %s: window rank %d, "
+                      "min eigenvalue gap %.3e, max joint residual %.3e",
+                      p.n, p.K, p.L, p.parity.value, m, gap, worst)
+        if worst > 1e-10:
+            errors[k] = (f"joint eigenvector residual {worst:.3e} exceeds 1e-10; "
+                         "the Heun block spectrum is not resolving the time-band operator")
+    g, order = np.arange(len(ps))[:, None], np.lexsort((values, -qs))
+    return values[g, order], qs[g, order], residuals[g, order], vectors[g, :, order], errors
+
+
+def joint_spectrum(p):
+    """``joint_spectra`` of one instance as JointMode objects, each window
+    eigenvector zero-padded to the subspace; raises its DegeneracyError."""
+    (t,), (q,), (residuals,), (vectors,), (error,) = joint_spectra([p])
+    if error:
+        raise DegeneracyError(error)
+    padded = np.zeros((t.size, p.dim), dtype=complex)
+    padded[:, : t.size] = vectors
+    return [JointMode(t=a, q=b, vector=SignalVector(v, position_kind(p.parity)), residual=r)
+            for a, b, v, r in zip(t.tolist(), q.tolist(), padded, residuals.tolist())]

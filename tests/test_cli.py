@@ -92,6 +92,61 @@ class TestSpectrum:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_benchmark_invocations_bytes_frozen(self, tmp_path):
+        # the eleven spectrum invocations of the spectrum-large workload (at
+        # their nominal K) and one L sweep: exit codes and --out bytes,
+        # recorded before the window eigensolves were stacked
+        import hashlib
+
+        shapes = [(384, 24, 12), (640, 40, 16), (320, 80, 160), (320, 160, 160),
+                  (256, 192, 248)]
+        runs = [["--n", str(n), "--K", str(k), "--L", str(ll), "--parity", parity]
+                for n, k, ll in shapes for parity in ("plus", "minus")]
+        runs += [["--n", "48", "--K", "0", "--L", "24", "--parity", "plus", "--sweep", "K=0..n"],
+                 ["--n", "24", "--K", "6", "--L", "0", "--parity", "plus", "--sweep", "L=0..n"]]
+        h = hashlib.sha256()
+        for i, argv in enumerate(runs):
+            out = tmp_path / f"{i}.json"
+            code = main(["spectrum", *argv, "--out", str(out)])
+            h.update(b"%d\0" % code + (out.read_bytes() if out.exists() else b""))
+        assert h.hexdigest() == "32b06ccdf9e0d9a472ab41e99e94adf24087a96b73cf2d6443623183efb49418"
+
+    @pytest.mark.parametrize("sweep", ["K=0..n", "L=0..n"])
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_one_matrix_per_stack_changes_no_byte(self, tmp_path, monkeypatch, sweep, parity):
+        import tblim.cli
+
+        argv = ["spectrum", "--n", "12", "--K", "5", "--L", "6", "--parity", parity,
+                "--sweep", sweep, "--out"]
+        codes = [main(argv + [str(tmp_path / "stacked.json")])]
+        monkeypatch.setattr(tblim.cli, "_STACK_BYTES", 1)
+        codes.append(main(argv + [str(tmp_path / "single.json")]))
+        assert codes[0] == codes[1]
+        assert (tmp_path / "stacked.json").read_bytes() == (tmp_path / "single.json").read_bytes()
+
+    @pytest.mark.parametrize("parity", ["plus", "minus"])
+    def test_full_window_sweep_keeps_each_error(self, tmp_path, parity):
+        # L = n: each failing K keeps its own entry, with the message that
+        # joint_spectrum raises for it alone
+        from tblim.core_model import ModelParams, Parity
+        from tblim.errors import DegeneracyError
+        from tblim.spectral import joint_spectrum
+
+        out = tmp_path / "sweep.json"
+        code = main(["spectrum", "--n", "8", "--K", "0", "--L", "8", "--parity", parity,
+                     "--sweep", "K=0..n", "--out", str(out)])
+        entries = json.loads(out.read_text())["results"]
+        assert [e["value"] for e in entries] == list(range(9))
+        for e in entries:
+            try:
+                modes = joint_spectrum(ModelParams(8, e["value"], 8, Parity(parity)))
+                assert [m["t"] for m in e["modes"]] == [m.t for m in modes]
+            except DegeneracyError as exc:
+                assert e["error"] == str(exc)
+        failed = sum("error" in e for e in entries)
+        assert code == (2 if failed else 0)
+        assert parity == "minus" or failed
+
     def test_csv_shape_and_order(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--n", "6", "--K", "2", "--L", "3",
                            "--parity", "plus", "--format", "csv")

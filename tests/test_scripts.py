@@ -91,9 +91,14 @@ def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
     bench_record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_record)
     sides = {str(tmp_path): "base", str(ROOT): "change"}
-    order, traced = [], []
+    order, traced, caches = [], [], []
 
-    def fake_run(root, workload, seed, seconds, trace=0):
+    def fake_run(root, workload, seed, seconds, trace=0, pycache=None):
+        # every run gets a bytecode cache of its own, empty and outside both
+        # checkouts, so no stale __pycache__ can reach the measured import
+        assert pycache and (not os.path.exists(pycache) or not os.listdir(pycache))
+        assert not pycache.startswith((str(tmp_path), str(ROOT)))
+        caches.append(pycache)
         if trace:
             traced.append(sides[root])
             return {"metrics": {"bethe.solve_bethe.self_s": {"value": len(traced), "unit": "s"}}}
@@ -110,6 +115,7 @@ def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
                        "recon-large", "--pairs", "3", "--out", str(out)])
     assert order == ["base", "change", "change", "base", "base", "change"]
     assert traced == ["base", "change"]
+    assert len(set(caches)) == len(caches) == 8
     doc = json.loads(out.read_text())
     assert set(doc["environment"]) == {"cores", "machine", "python", "numpy", "mpmath"}
     entry = doc["workloads"]["recon-large"]

@@ -16,6 +16,7 @@ from tblim.spectral import (
     eig_sym_dense,
     eig_sym_tridiag,
     eigvals_sym_tridiag,
+    joint_spectra,
     joint_spectrum,
     svd_E,
 )
@@ -275,3 +276,30 @@ class TestJointSpectrumOracles:
                     v = m.vector.coeffs
                     assert abs(np.vdot(v, q_full @ v).real - m.q) < 1e-10
                     assert np.linalg.norm(q_full @ v - m.q * v) < 1e-10
+
+
+class TestJointSpectra:
+    def test_stacks_equal_one_instance_calls_bitwise(self):
+        # every (K, L) with n <= 12, both parities: a stack over all K at one
+        # L against one call per instance, in values, vectors and messages
+        for n in range(2, 13):
+            for parity in Parity:
+                for L in range(n + 1):
+                    ps = [make(n, K, L, parity) for K in range(n + 1)]
+                    stacked = joint_spectra(ps)
+                    for k, p in enumerate(ps):
+                        one = joint_spectra([p])
+                        assert stacked[4][k] == one[4][0]
+                        if one[4][0] is None:
+                            for a, b in zip(stacked[:4], one[:4]):
+                                assert a[k].tobytes() == b[0].tobytes()
+
+    def test_joint_spectrum_reads_the_stack(self):
+        p = make(10, 4, 6, Parity.PLUS)
+        t, q, r, v, errors = joint_spectra([p])
+        modes = joint_spectrum(p)
+        assert errors == [None]
+        assert [m.t for m in modes] == t[0].tolist() and [m.q for m in modes] == q[0].tolist()
+        for mode, row in zip(modes, v[0]):
+            assert np.array_equal(mode.vector.coeffs[:7], row)
+            assert not np.any(mode.vector.coeffs[7:])
