@@ -8,11 +8,20 @@ sides alike), one run at a time, and then one ``--trace 1`` run of each
 side.  Writes one JSON file with, per workload and side, the median and
 quartiles of every end-to-end metric named in BENCHMARK.json, each run's
 values, the operations attempted and failed, in how many pairs the change
-was better, and the per-layer metrics of the traced run; plus the core
+was better, a verdict per metric (below), and the per-layer metrics of the
+traced run; plus the core
 count, the Python, numpy and mpmath versions, and a sha256 of each side's
 src/tblim.  A traced run writes its spans under the checkout's
 perfbench/out/.  Every run gets its own empty PYTHONPYCACHEPREFIX, so both
 sides compile from source alike, whatever __pycache__ a checkout holds.
+
+The verdict of each end-to-end metric gives the change's median minus the
+base's (``median_diff``), the spread of the base's runs (``base_iqr``, the
+distance between its quartiles), ``gain_shown`` (the change is better in at
+least nine tenths of the pairs and its median is better by more than that
+spread) and ``within_bound`` (the change's median is no worse than the
+base's by more than the metric's bound in BENCHMARK.json, a fraction of the
+base's median).
 
 Usage:
     python scripts/bench_record.py --base ../parent --change . --pairs 10 \\
@@ -64,6 +73,17 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(metric, base, change, better_pairs, pairs):
+    """``median_diff``, ``base_iqr``, ``gain_shown`` and ``within_bound`` of
+    one metric, from the summaries of both sides."""
+    diff = change["median"] - base["median"]
+    worse_by = -diff if metric["better"] == "higher" else diff
+    spread = base["q3"] - base["q1"]
+    return {"median_diff": diff, "base_iqr": spread,
+            "gain_shown": 10 * better_pairs >= 9 * pairs and -worse_by > spread,
+            "within_bound": worse_by <= metric["bound"] * abs(base["median"])}
+
+
 def record(base, change, workloads, metrics, pairs, seconds, seed):
     sides = {"base": base, "change": change}
     with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
@@ -94,6 +114,11 @@ def _record(sides, workloads, metrics, pairs, seconds, seed, caches):
             m["name"]: sum((c > b) if m["better"] == "higher" else (c < b)
                            for b, c in zip(entry["base"]["metrics"][m["name"]]["runs"],
                                            entry["change"]["metrics"][m["name"]]["runs"]))
+            for m in metrics}
+        entry["verdict"] = {
+            m["name"]: verdict(m, entry["base"]["metrics"][m["name"]],
+                               entry["change"]["metrics"][m["name"]],
+                               entry["change_better_in_pairs"][m["name"]], pairs)
             for m in metrics}
         entry["traced"] = {}
         for side, root in sides.items():

@@ -23,9 +23,9 @@ import numpy as np
 from .bethe import AnsatzVariant, solve_bethe
 from .core_model import ModelParams, Parity
 from .errors import TblimError, check_tolerance
-from .operators import heun_tb, heun_tb_momentum, leonard_pair, projector_band, projector_time, tb_operator
+from .operators import operator_set
 from .recon import reconstruct_signal
-from .serialize import canonical_json, csv_lines, pack_operator, unpack_operator
+from .serialize import canonical_json, csv_lines, pack_operator
 from .spectral import joint_spectra
 from .verify import run_suite
 
@@ -65,23 +65,8 @@ def _write(args, text):
         sys.stdout.write(text)
 
 
-def _operators(p):
-    """Every operator that ``build`` writes, by payload name."""
-    a, astar = leonard_pair(p)
-    return {
-        "A": a.to_dense(),
-        "A_star": astar.to_dense(),
-        "pi1": projector_time(p),
-        "pi2": projector_band(p),
-        "Q": tb_operator(p),
-        "T_position": heun_tb(p).to_dense(),
-        "T_momentum": heun_tb_momentum(p).to_dense(),
-    }
-
-
 def cmd_build(args):
-    p = _params(args)
-    payloads = {name: pack_operator(op) for name, op in _operators(p).items()}
+    payloads = {name: pack_operator(op) for name, op in operator_set(_params(args)).dense.items()}
     doc = {"command": "build", "params": _params_dict(args), "operators": payloads}
     _write(args, canonical_json(doc))
     return EXIT_OK
@@ -153,41 +138,23 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _compare_stored(args, p, checks):
+def _stored_payloads(path):
+    """The operator payloads of a built file, by name."""
     paused = gc.isenabled()
     gc.disable()        # the parsed document holds no cycles to collect
     try:
-        with open(args.operators) as fh:
-            stored = json.load(fh)
-        payloads = stored["operators"]
-    except (OSError, ValueError, KeyError) as exc:
-        raise TblimError(f"cannot read operator file {args.operators!r}: {exc}") from exc
+        with open(path) as fh:
+            return json.load(fh)["operators"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise TblimError(f"cannot read operator file {path!r}: {exc}") from exc
     finally:
         if paused:
             gc.enable()
-    fresh = _operators(p)
-    from .verify import CheckResult
-
-    for name, payload in sorted(payloads.items()):
-        if name not in fresh:
-            checks.append(CheckResult(f"stored_{name}", np.inf, 1e-15, False, note="unknown matrix"))
-            continue
-        try:
-            loaded = unpack_operator(payload)
-            want = fresh[name]
-            diff = float(np.max(np.abs(loaded.entries - want.entries))) if loaded.dim else 0.0
-            same_shape = loaded.dim == want.dim and loaded.basis is want.basis
-            checks.append(CheckResult(f"stored_{name}", diff if same_shape else np.inf,
-                                      1e-15, same_shape and diff < 1e-15))
-        except (TblimError, ValueError, KeyError) as exc:
-            checks.append(CheckResult(f"stored_{name}", np.inf, 1e-15, False, note=str(exc)))
 
 
 def cmd_verify(args):
-    p = _params(args)
-    checks = run_suite(p, np.random.default_rng(args.seed))
-    if args.operators:
-        _compare_stored(args, p, checks)
+    stored = _stored_payloads(args.operators) if args.operators else None
+    checks = run_suite(_params(args), np.random.default_rng(args.seed), stored)
     for c in checks:
         if c.skipped:
             print(f"SKIP {c.name} ({c.note})")

@@ -311,7 +311,7 @@ def momentum_basis(p):
     return cos(2 * ks * x - p.n) / math.sqrt(p.n)
 
 
-def fourier_block(p, ks, js, ctx=None):
+def fourier_block(p, ks, js, ctx=None, cos=None):
     """Real block of the Fourier matrix: rows momentum labels ``ks``, columns
     position labels ``js``.
 
@@ -319,11 +319,12 @@ def fourier_block(p, ks, js, ctx=None):
     sqrt(2/n) * cos(pi*k*j/n) / (rho(k)*rho(j)) on the symmetric subspace and
     sqrt(2/n) * sin(pi*k*j/n) on the antisymmetric one, cos(pi*k*j/n) read
     from ``grid_cos`` at 2kj and sin(pi*k*j/n) at 2kj - n.  With an mpmath
-    context the block is an object array of mpf.
+    context the block is an object array of mpf.  ``cos`` is
+    ``grid_cos(p, ctx)``, built here when not given.
     """
     ks = np.array(ks, dtype=int)[:, None]
     js = np.array(js, dtype=int)
-    cos = grid_cos(p, ctx)
+    cos = grid_cos(p, ctx) if cos is None else cos
     scale = math.sqrt(2.0 / p.n) if ctx is None else ctx.sqrt(ctx.mpf(2) / p.n)
     # the array comes first: an mpf on the left would first try, and fail,
     # to convert the whole array, formatting it for the error
@@ -332,15 +333,15 @@ def fourier_block(p, ks, js, ctx=None):
     return cos(2 * ks * js - p.n) * scale
 
 
-def band_window_block(p, ctx=None):
+def band_window_block(p, ctx=None, cos=None):
     """Band x window block E of the Fourier matrix (band rank x window rank).
 
     Labels ascend, so the band rows and the window columns are prefixes of
     the subspace labels.  On the window the time-band operator is E^T E.
-    ``ctx`` is passed to ``fourier_block``.
+    ``ctx`` and ``cos`` are passed to ``fourier_block``.
     """
     labels = p.indices
-    return fourier_block(p, labels[: p.band_rank], labels[: p.time_rank], ctx)
+    return fourier_block(p, labels[: p.band_rank], labels[: p.time_rank], ctx, cos)
 
 
 def fourier_matrix(p):

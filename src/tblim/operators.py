@@ -1,6 +1,9 @@
 """Projectors, the time-band limiting operator, Leonard pairs, and the
 commuting algebraic Heun operators.
 
+``operator_set`` builds every operator of one instance once, for both
+``tblim build`` and ``tblim verify``.
+
 Operators live in the (n+1)- or (n-1)-dimensional parity coordinates:
 the Leonard pair and the Heun operators as tridiagonal operators, the
 projectors and the time-band operator as dense matrices, which keep every
@@ -12,6 +15,8 @@ symmetric, 1..n-1 antisymmetric), momentum-basis matrices likewise.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,8 @@ from .errors import DomainError
 __all__ = [
     "DenseOperator",
     "TridiagonalOperator",
+    "OperatorSet",
+    "operator_set",
     "projector_time",
     "projector_band",
     "tb_operator",
@@ -59,23 +66,26 @@ def projector_time(p):
     return DenseOperator(np.diag(_keep(p, p.L)), position_kind(p.parity), hermitian=True)
 
 
-def projector_band(p):
-    """Band projector expressed in the position basis."""
-    f = fourier_matrix(p).entries
+def projector_band(p, f=None):
+    """Band projector expressed in the position basis; ``f`` is the
+    instance's Fourier matrix, built here when not given."""
+    f = (fourier_matrix(p) if f is None else f).entries
     m = f.T @ (_keep(p, p.K)[:, None] * f)
     return DenseOperator(m, position_kind(p.parity), hermitian=True)
 
 
-def tb_operator(p):
+def tb_operator(p, projectors=None):
     """Time-band limiting operator: window projector, band projector, window
-    projector, multiplied in the position basis.
+    projector, multiplied in the position basis.  ``projectors`` is the
+    instance's pair (window projector, band projector), built here when not
+    given.
 
     Hermitian, positive semidefinite, spectrum inside [0, 1], supported on the
     range of the window projector.
     """
-    p1 = projector_time(p).entries
-    p2 = projector_band(p).entries
-    return DenseOperator(p1 @ p2 @ p1, position_kind(p.parity), hermitian=True)
+    p1, p2 = projectors or (projector_time(p), projector_band(p))
+    return DenseOperator(p1.entries @ p2.entries @ p1.entries, position_kind(p.parity),
+                         hermitian=True)
 
 
 def leonard_pair(p):
@@ -120,7 +130,7 @@ def heun_general(a, astar, r1, r2, r3, r4, r5):
     return DenseOperator(out, a.basis)
 
 
-def heun_coefficients(p, side="position", ctx=None):
+def heun_coefficients(p, side="position", ctx=None, cos=None):
     """Tridiagonal action coefficients of the Heun operator, keyed by label.
 
     Returns functions (a, b, c) with a(j) the amplitude j -> j-1, b(j) the
@@ -130,7 +140,8 @@ def heun_coefficients(p, side="position", ctx=None):
     diagonal) or their momentum mirrors (roles of K and L exchanged).
     ``ctx`` selects the arithmetic: ``None`` for double precision, an mpmath
     context for its current precision, where an array of labels gives an
-    object array of mpf (see ``core_model.grid_cos``).
+    object array of mpf (see ``core_model.grid_cos``).  ``cos`` is
+    ``grid_cos(p, ctx)``, built here when not given.
     """
     if side == "position":
         kk, ll = p.K, p.L
@@ -139,7 +150,7 @@ def heun_coefficients(p, side="position", ctx=None):
     else:
         raise DomainError(f"side must be 'position' or 'momentum', got {side!r}")
 
-    cos = grid_cos(p, ctx)
+    cos = grid_cos(p, ctx) if cos is None else cos
     cos_k, cos_l = cos(2 * kk + 1), cos(2 * ll + 1)
     weight = (lambda j: rho(p, j, ctx)) if p.parity is Parity.PLUS else (lambda j: 1.0)
 
@@ -184,22 +195,46 @@ def heun_tb_momentum(p):
     return _heun_tridiagonal(p, "momentum")
 
 
-def to_momentum_basis(op, p):
-    """Conjugate a position-basis dense operator into momentum coordinates."""
-    f = fourier_matrix(p).entries
+class OperatorSet(NamedTuple):
+    """F, the Leonard pair and the Heun operator (both tridiagonal), and the
+    dense operators by the payload names of ``tblim build``."""
+
+    fourier: DenseOperator
+    pair: tuple
+    heun: TridiagonalOperator
+    dense: dict
+
+
+def operator_set(p):
+    """The operators of one instance, each built once: F; pi1; pi2 from that
+    F; Q from that pi1 and pi2; A, A*, T and T_momentum, also dense."""
+    f = fourier_matrix(p)
+    a, astar = leonard_pair(p)
+    t = heun_tb(p)
+    projectors = projector_time(p), projector_band(p, f)
+    dense = {"A": a.to_dense(), "A_star": astar.to_dense(),
+             "pi1": projectors[0], "pi2": projectors[1], "Q": tb_operator(p, projectors),
+             "T_position": t.to_dense(), "T_momentum": heun_tb_momentum(p).to_dense()}
+    return OperatorSet(f, (a, astar), t, dense)
+
+
+def to_momentum_basis(op, p, f=None):
+    """Conjugate a position-basis dense operator into momentum coordinates;
+    ``f`` is the instance's Fourier matrix, built here when not given."""
+    f = (fourier_matrix(p) if f is None else f).entries
     if op.basis is not position_kind(p.parity):
         raise DomainError("expected a position-basis operator")
     return DenseOperator(f @ op.entries @ f.T, momentum_kind(p.parity), hermitian=op.hermitian)
 
 
-def check_askey_wilson(p):
+def check_askey_wilson(p, pair=None):
     """Max-norm residuals of the two Askey-Wilson relations satisfied by the
-    Leonard pair:
+    Leonard pair (``pair``, built here when not given):
 
         A^2 A*  - 2 cos(pi/n) A A* A   + A* A^2  = 4 sin(pi/n)^2 A*
         A*^2 A  - 2 cos(pi/n) A* A A*  + A A*^2  = 4 sin(pi/n)^2 A
     """
-    a, astar = leonard_pair(p)
+    a, astar = pair or leonard_pair(p)
     am = a.to_dense().entries.real
     sm = astar.to_dense().entries.real
     c2 = 2.0 * trig_c(p, 2)

@@ -17,10 +17,11 @@ digits once degrees pass ~20.
 Near-full windows make the link hypersensitive to rounding, so
 ``link_residuals_hp`` re-checks the identity in high precision.  It builds
 the window block and E with the model's own builders (``heun_coefficients``
-and ``band_window_block`` in an mpmath context), then converts them once to
-fixed point: Python integers scaled by 2**P, P the context's precision plus
-guard bits, in numpy object arrays, so that each step is one pass over all m
-window eigenvalues instead of one mpf object per operation.  The quantities
+and ``band_window_block`` in an mpmath context, from one table of cosines
+per precision), then converts them once to fixed point: Python integers
+scaled by 2**P, P the context's precision plus guard bits, in numpy object
+arrays, so that each step is one pass over all m window eigenvalues instead
+of one mpf object per operation.  The quantities
 it forms (eigenvalues, unit eigenvectors, E v and the defects) are O(1), so
 an absolute 2**-P error per operation is as good as floating point at that
 precision.  It refines the double-precision eigenvalues of the window block
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import band_window_block
+from .core_model import band_window_block, grid_cos
 from .errors import ConvergenceError, DegeneracyError, DomainError
 from .operators import heun_coefficients
 
@@ -68,7 +69,7 @@ _NEWTON_STEPS = 40
 _GUARD_BITS = 16
 
 
-def _window_coefficients(p, ctx=None):
+def _window_rows(p, ctx=None, cos=None):
     """Diagonal b_j and couplings a_{j+1} of the Heun operator on the window
     rows, j = 0 .. m-1 in recurrence order (m = window rank).
 
@@ -78,30 +79,11 @@ def _window_coefficients(p, ctx=None):
     off-diagonal of the window block; the last one is the window-edge
     coupling, which vanishes identically.  An interior coupling below 1e-14
     (L = n on the symmetric subspace) raises a degeneracy error.
-    ``ctx`` is the numeric context of ``heun_coefficients``: in double
-    precision (``ctx=None``) the result is a pair of read-only float arrays
-    built once per instance, in an mpmath context a pair of object arrays of
-    mpf.
+    ``ctx`` and ``cos`` are passed to ``heun_coefficients``: in double
+    precision (``ctx=None``) the result is a pair of float arrays, in an
+    mpmath context a pair of object arrays of mpf.
     """
-    if ctx is None:
-        return _double_window_coefficients(p)
-    return _window_rows(p, ctx)
-
-
-@functools.lru_cache(maxsize=32)
-def _double_window_coefficients(p):
-    return tuple(_read_only(values) for values in _window_rows(p))
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-def _window_rows(p, ctx=None):
-    """The arrays behind ``_window_coefficients``, in the arithmetic of
-    ``ctx``."""
-    a, b, _ = heun_coefficients(p, "position", ctx)
+    a, b, _ = heun_coefficients(p, "position", ctx, cos)
     window = np.array(p.indices)[: p.time_rank]
     diag, couplings = b(window), a(window + 1)
     vanishing = np.flatnonzero(np.abs(couplings[:-1].astype(float)) < 1e-14)
@@ -111,6 +93,18 @@ def _window_rows(p, ctx=None):
             f"(n={p.n}, L={p.L}, parity={p.parity.value})"
         )
     return diag, couplings
+
+
+@functools.lru_cache(maxsize=32)
+def _window_coefficients(p):
+    """``_window_rows`` in double precision, read-only, built once per
+    instance."""
+    return tuple(_read_only(values) for values in _window_rows(p))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _recurrence(diag, couplings, x):
@@ -280,16 +274,13 @@ def _count_below(diag, e2s, x, tiny):
     return count
 
 
-def _refine(diag, off, guesses, ctx):
-    """``refine_eigenvalues`` in fixed point: the roots as integers scaled by
-    2**bits, ascending, with bits the precision of ``ctx`` plus guard bits;
-    then bits, the number of Newton passes and a boolean array that is true
-    for each root that brackets its own eigenvalue."""
-    m = len(diag)
-    bits = ctx.prec + _GUARD_BITS
+def _refine(d, e, guesses, bits, ctx):
+    """``refine_eigenvalues`` in fixed point, on the diagonal ``d`` and the
+    off-diagonal ``e`` as integers scaled by 2**bits: the roots, so scaled
+    and ascending; then the number of Newton passes and a boolean array that
+    is true for each root that brackets its own eigenvalue."""
+    m = len(d)
     one = 1 << bits
-    d = _fixed(diag, bits, ctx)
-    e = _fixed(off[: m - 1], bits, ctx)
     e2s = e * e
     eps = int(_fixed([ctx.eps], bits, ctx)[0])
     scale = one + max(abs(v) for v in d) + 2 * max((abs(v) for v in e), default=0)
@@ -303,7 +294,7 @@ def _refine(diag, off, guesses, ctx):
     below = _count_below(d, e2s, np.concatenate([x - h, x + h]), eps)
     ranks = np.arange(m)
     bracketed = (below[:m] == ranks) & (below[m:] == ranks + 1)
-    return x, bits, passes, bracketed
+    return x, passes, bracketed
 
 
 def _require_bracketed(bracketed, ctx):
@@ -337,17 +328,23 @@ def refine_eigenvalues(diag, off, guesses, ctx):
     m = len(diag)
     if len(guesses) != m:
         raise DomainError(f"{len(guesses)} guesses for {m} eigenvalues")
-    x, bits, _, bracketed = _refine(diag, off, guesses, ctx)
+    bits = ctx.prec + _GUARD_BITS
+    x, _, bracketed = _refine(_fixed(diag, bits, ctx), _fixed(off[: m - 1], bits, ctx),
+                              guesses, bits, ctx)
     _require_bracketed(bracketed, ctx)
     return [ctx.ldexp(t, -bits) for t in x]
 
 
 def _link_residuals_at(p, guesses, ctx):
     """(operator, eigenbasis) residuals of the link in the current precision
-    of ``ctx`` (see ``link_residuals_hp``), and the refined eigenvalues."""
-    diag, couplings = _window_coefficients(p, ctx)
+    of ``ctx`` (see ``link_residuals_hp``), and the refined eigenvalues.
+    The cosine table and the fixed-point inputs are built once per call."""
+    cos = grid_cos(p, ctx)
+    diag, couplings = _window_rows(p, ctx, cos)
     m = len(diag)
-    x, bits, passes, bracketed = _refine(diag, couplings, guesses, ctx)
+    bits = ctx.prec + _GUARD_BITS
+    d, c = _fixed(diag, bits, ctx), _fixed(couplings, bits, ctx)
+    x, passes, bracketed = _refine(d, c[: m - 1], guesses, bits, ctx)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("polymap link n=%d K=%d L=%d %s: %d digits, %d working bits, "
                   "%d Newton passes, %d of %d roots bracketed",
@@ -355,8 +352,7 @@ def _link_residuals_at(p, guesses, ctx):
                   int(bracketed.sum()), m)
     _require_bracketed(bracketed, ctx)
     one = 1 << bits
-    d, c = _fixed(diag, bits, ctx), _fixed(couplings, bits, ctx)
-    e_mp = band_window_block(p, ctx)
+    e_mp = band_window_block(p, ctx, cos)
     e = _fixed(e_mp.ravel(), bits, ctx).reshape(e_mp.shape)
     # R_j(t_l) for every root at once, then unit columns v_l
     r = np.empty((m, m), dtype=object)

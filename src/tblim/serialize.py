@@ -11,6 +11,8 @@ basis tag and dimension.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .core_model import BasisKind, DenseOperator
@@ -124,17 +126,23 @@ def pack_operator(op):
 
 
 def unpack_operator(payload):
-    """Inverse of ``pack_operator`` on a payload read back from JSON, where
-    ``rows`` is nested lists; a JSON null reads as NaN."""
+    """Inverse of ``pack_operator``.  ``rows`` is the (dim, dim, 2) array or,
+    read back from JSON, nested lists; a JSON null reads as NaN."""
     dim = int(payload["dim"])
-    pairs = np.asarray(payload["rows"], dtype=float)
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise DomainError(f"matrix payload entries are not [re, im] pairs (shape {pairs.shape})")
-    if pairs.shape[:2] != (dim, dim):
-        raise DomainError(f"matrix payload claims dim {dim} but has shape {pairs.shape[:2]}")
-    m = np.empty((dim, dim), dtype=complex)
-    m.real, m.imag = pairs[..., 0], pairs[..., 1]
-    return DenseOperator(m, BasisKind(payload["basis"]), hermitian=bool(payload["hermitian"]))
+    rows = payload["rows"]
+    # the shape numpy reads: the common length at each depth, down to the
+    # first whose items are not all lists of one length; then its items
+    shape, items = (), [rows.tolist() if isinstance(rows, np.ndarray) else rows]
+    while len(shape) < 3 and set(map(type, items)) == {list} and len(set(map(len, items))) == 1:
+        shape, items = shape + (len(items[0]),), list(chain.from_iterable(items))
+    if len(shape) != 3 or shape[2] != 2:
+        raise DomainError(f"matrix payload entries are not [re, im] pairs (shape {shape})")
+    if shape[:2] != (dim, dim):
+        raise DomainError(f"matrix payload claims dim {dim} but has shape {shape[:2]}")
+    # one pass over the flattened entries; object to float reads None as NaN
+    pairs = np.fromiter(items, dtype=object, count=len(items)).astype(float)
+    return DenseOperator(pairs.view(complex).reshape(dim, dim), BasisKind(payload["basis"]),
+                         hermitian=bool(payload["hermitian"]))
 
 
 def csv_lines(header, rows):

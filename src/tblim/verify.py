@@ -1,6 +1,10 @@
 """Instance-level verification suite: every structural identity the package
 relies on, each reduced to a residual with a pass threshold.
 
+The dense checks read their operators from one ``operators.operator_set``,
+the set ``tblim build`` writes, and conjugate with its one Fourier matrix;
+the ``stored_*`` checks compare a built file with that set.
+
 Checks that are ill-posed for a given instance (a dynamical parameter hitting
 a pole, an empty window) are reported as skipped with the reason rather than
 silently dropped or failed.
@@ -21,23 +25,19 @@ from .bethe import (
     check_vacuum_action,
 )
 from .core_model import Parity, fourier_matrix, momentum_basis, position_basis, trig_c, trig_s
-from .errors import PoleError
+from .errors import DomainError, PoleError, TblimError
 from .operators import (
     check_askey_wilson,
     commutator_norm,
     heun_general,
-    heun_tb,
-    heun_tb_momentum,
-    leonard_pair,
-    projector_band,
-    projector_time,
-    tb_operator,
+    operator_set,
     to_momentum_basis,
 )
 from .polymap import eval_P_stable, link_residuals_hp, verify_Q_equals_piP
+from .serialize import unpack_operator
 from .spectral import eig_sym_dense, eigvals_sym_tridiag, joint_spectrum, svd_E
 
-__all__ = ["CheckResult", "basis_checks", "run_suite"]
+__all__ = ["CheckResult", "basis_checks", "run_suite", "stored_checks"]
 
 log = logging.getLogger("tblim")
 
@@ -64,12 +64,13 @@ def _mx(m):
     return float(np.max(np.abs(m))) if np.size(m) else 0.0
 
 
-def basis_checks(p):
+def basis_checks(p, f=None):
     """Orthonormal position and momentum bases, a unitary Fourier matrix,
-    and its entries equal to the inner products of the two bases."""
+    and its entries equal to the inner products of the two bases.  ``f`` is
+    the instance's Fourier matrix, built here when not given."""
     pos = position_basis(p)
     mom = momentum_basis(p)
-    f = fourier_matrix(p).entries
+    f = (fourier_matrix(p) if f is None else f).entries
     return [
         _check("position_gram", _mx(pos @ pos.T - np.eye(p.dim)), 1e-13),
         _check("momentum_gram", _mx(mom @ mom.T - np.eye(p.dim)), 1e-13),
@@ -78,45 +79,68 @@ def basis_checks(p):
     ]
 
 
-def run_suite(p, rng=None):
-    """Run the full residual suite on one instance; returns CheckResult list."""
+def _stored_residual(want, payload):
+    if want is None:
+        raise DomainError("unknown matrix")
+    loaded = unpack_operator(payload)
+    if loaded.dim != want.dim:
+        raise DomainError(f"stored dim {loaded.dim}, expected {want.dim}")
+    if loaded.basis is not want.basis:
+        raise DomainError(f"stored basis {loaded.basis.value}, expected {want.basis.value}")
+    return _mx(loaded.entries - want.entries)
+
+
+def stored_checks(ops, payloads):
+    """One ``stored_<name>`` check per payload of a built operator file: the
+    max-norm distance from the operator of that name in the ``OperatorSet``
+    ``ops``, passing below 1e-15.  A payload that does not load, or of
+    another name, dimension or basis, fails with an infinite residual and a
+    note that says why."""
+    out = []
+    for name, payload in sorted(payloads.items()):
+        try:
+            out.append(_check(f"stored_{name}", _stored_residual(ops.dense.get(name), payload),
+                              1e-15))
+        except (TblimError, TypeError, ValueError, KeyError) as exc:
+            out.append(CheckResult(f"stored_{name}", np.inf, 1e-15, False, note=str(exc)))
+    return out
+
+
+def run_suite(p, rng=None, stored=None):
+    """Run the full residual suite on one instance; returns CheckResult list.
+    ``stored`` holds the payloads of a built operator file, by name, for
+    ``stored_checks``."""
     rng = rng or np.random.default_rng(0)
-    out = basis_checks(p)
+    ops = operator_set(p)
+    a, astar, t_dense, t_mom, q = (ops.dense[name] for name in
+                                   ("A", "A_star", "T_position", "T_momentum", "Q"))
+    out = basis_checks(p, ops.fourier)
 
     # commutation of the Heun operator with the limiting operators
-    t_dense = heun_tb(p).to_dense()
-    p1 = projector_time(p)
-    p2 = projector_band(p)
-    q = tb_operator(p)
-    out.append(_check("commutator_T_window", commutator_norm(t_dense, p1), 1e-12))
-    out.append(_check("commutator_T_band", commutator_norm(t_dense, p2), 1e-12))
+    out.append(_check("commutator_T_window", commutator_norm(t_dense, ops.dense["pi1"]), 1e-12))
+    out.append(_check("commutator_T_band", commutator_norm(t_dense, ops.dense["pi2"]), 1e-12))
     out.append(_check("commutator_T_Q", commutator_norm(t_dense, q), 1e-12))
 
     # Askey-Wilson relations and Leonard duality
-    r1, r2 = check_askey_wilson(p)
+    r1, r2 = check_askey_wilson(p, ops.pair)
     out.append(_check("askey_wilson_1", r1, 1e-12))
     out.append(_check("askey_wilson_2", r2, 1e-12))
-    a, astar = leonard_pair(p)
-    a_mom = to_momentum_basis(a.to_dense(), p).entries
-    astar_mom = to_momentum_basis(astar.to_dense(), p).entries
-    out.append(_check("leonard_duality_diag",
-                      _mx(a_mom - astar.to_dense().entries), 1e-12))
-    out.append(_check("leonard_duality_tridiag",
-                      _mx(astar_mom - a.to_dense().entries), 1e-12))
+    a_mom, astar_mom, t_conj = (to_momentum_basis(m, p, ops.fourier).entries
+                                for m in (a, astar, t_dense))
+    out.append(_check("leonard_duality_diag", _mx(a_mom - astar.entries), 1e-12))
+    out.append(_check("leonard_duality_tridiag", _mx(astar_mom - a.entries), 1e-12))
 
     # Heun operator: general form, momentum mirror, exact decoupling
-    general = heun_general(a, astar, 1.0 / (4 * trig_c(p, 1)), 0.0,
+    general = heun_general(*ops.pair, 1.0 / (4 * trig_c(p, 1)), 0.0,
                            -trig_c(p, 2 * p.K + 1), -trig_c(p, 2 * p.L + 1), 0.0)
     out.append(_check("heun_vs_general", _mx(t_dense.entries - general.entries), 1e-13))
-    t_mom = heun_tb_momentum(p).to_dense().entries
-    out.append(_check("heun_momentum_conjugation",
-                      _mx(to_momentum_basis(t_dense, p).entries - t_mom), 1e-12))
+    out.append(_check("heun_momentum_conjugation", _mx(t_conj - t_mom.entries), 1e-12))
     cut = p.time_rank
     if 0 < cut < p.dim:
-        out.append(_check("window_edge_decoupling", abs(heun_tb(p).offdiag[cut - 1]), 0.0 + 1e-300))
+        out.append(_check("window_edge_decoupling", abs(ops.heun.offdiag[cut - 1]), 0.0 + 1e-300))
 
     # spectra: hand-rolled vs dense, SVD vs eigenvalues
-    tri = eigvals_sym_tridiag(heun_tb(p))
+    tri = eigvals_sym_tridiag(ops.heun)
     dense = eig_sym_dense(t_dense)
     out.append(_check("tridiag_vs_dense_eigenvalues", _mx(tri - dense.values), 1e-11))
     qs = np.sort(eig_sym_dense(q).values)[::-1]
@@ -193,4 +217,6 @@ def run_suite(p, rng=None):
         else:
             out.append(_skip("reduction_formula", "creation slot hits a dynamical pole"))
 
+    if stored is not None:
+        out.extend(stored_checks(ops, stored))
     return out

@@ -306,6 +306,97 @@ class TestVerify:
                          "--parity", "minus", "--operators", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("parity,note", [
+        ("plus", "stored dim 7, expected 9"),
+        ("minus", "stored basis {0}_plus, expected {0}_minus"),
+    ])
+    def test_stored_file_of_another_instance(self, capsys, tmp_path, parity, note):
+        # built at (6, 2, 3, plus), checked at n = 8: another dimension, or
+        # (minus) the same dimension 7 in another basis
+        ops, report = tmp_path / "ops.json", tmp_path / "v.json"
+        main(["build", "--n", "6", "--K", "2", "--L", "3", "--parity", "plus", "--out", str(ops)])
+        code, _, _ = run(capsys, "verify", "--n", "8", "--K", "2", "--L", "3", "--parity", parity,
+                         "--operators", str(ops), "--out", str(report))
+        assert code == 1
+        stored = [c for c in json.loads(report.read_text())["checks"]
+                  if c["name"].startswith("stored_")]
+        assert len(stored) == 7
+        for c in stored:
+            kind = "momentum" if c["name"] == "stored_T_momentum" else "position"
+            assert not c["passed"] and c["residual"] is None
+            assert c["note"] == note.format(kind)
+
+    def test_benchmark_invocations_bytes_frozen(self, tmp_path):
+        # the verify-link workload's invocations: its six plus verify runs;
+        # build at (96, 48, 12) plus, then verify --operators on the clean
+        # file and on one with Q[5][5] moved by 3e-7; and the two fault
+        # instances.  Exit codes and --out bytes, recorded before build and
+        # verify shared one operator builder.
+        import hashlib
+
+        def instance(n, K, L, parity="plus"):
+            return ["--n", str(n), "--K", str(K), "--L", str(L), "--parity", parity]
+
+        built, moved = tmp_path / "ops.json", tmp_path / "moved.json"
+        big = instance(96, 48, 12)
+        runs = [["verify", *instance(n, K, L)] for n, K, L in
+                [(24, 6, 18), (24, 12, 18), (32, 8, 24), (96, 24, 8), (96, 16, 16), (96, 48, 12)]]
+        runs += [["build", *big], ["verify", *big, "--operators", str(built)],
+                 ["verify", *big, "--operators", str(moved)],
+                 ["verify", *instance(64, 16, 48)], ["verify", *instance(32, 8, 10, "minus")]]
+        h = hashlib.sha256()
+        for i, argv in enumerate(runs):
+            if "--operators" in argv and argv[-1] == str(moved):
+                doc = json.loads(built.read_text())
+                doc["operators"]["Q"]["rows"][5][5][0] += 3e-7
+                moved.write_text(json.dumps(doc))
+            out = built if argv[0] == "build" else tmp_path / f"{i}.json"
+            code = main([*argv, "--out", str(out)])
+            h.update(b"%d\0" % code + (out.read_bytes() if out.exists() else b""))
+        assert h.hexdigest() == "ba2977f2e0770ec15a0f4961751c5fa6fa49f40e287e07681d503ef0dddde5eb"
+
+    def test_each_builder_runs_once_per_invocation(self, capsys, tmp_path, monkeypatch):
+        import sys
+
+        calls = {}
+        for attr in ("fourier_matrix", "projector_band"):
+            original = getattr(tblim, attr)
+
+            def counted(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if (name == "tblim" or name.startswith("tblim.")) and hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counted)
+        ops = tmp_path / "ops.json"
+        for argv in (["build", "--out", str(ops)], ["verify", "--operators", str(ops)]):
+            calls.clear()
+            code, _, _ = run(capsys, *argv, "--n", "12", "--K", "3", "--L", "5",
+                             "--parity", "plus")
+            assert code == 0
+            assert calls == {"fourier_matrix": 1, "projector_band": 1}, argv[0]
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_no_state_outlives_an_invocation(self, capsys, tmp_path, order):
+        # build and verify --operators on two instances, in either order: each
+        # pair of outputs keeps the bytes recorded for it alone
+        import hashlib
+
+        cases = [(["--n", "24", "--K", "6", "--L", "18", "--parity", "plus"],
+                  "827117190b091eb487ffd0a94119629ff03a94e677e8dfc74a5a3a6d875af330"),
+                 (["--n", "12", "--K", "3", "--L", "5", "--parity", "minus"],
+                  "89eb48c42ca2dc3d52ff3f072c6769ff327274f06b29c47a614dd88a67c97a5e")]
+        for i in order:
+            argv, digest = cases[i]
+            ops, report = tmp_path / f"ops{i}.json", tmp_path / f"v{i}.json"
+            h = hashlib.sha256()
+            for command, out in ((["build"], ops), (["verify", "--operators", str(ops)], report)):
+                code = main([*command, *argv, "--out", str(out)])
+                h.update(b"%d\0" % code + out.read_bytes())
+            capsys.readouterr()
+            assert h.hexdigest() == digest
+
 
 class TestBethe:
     def test_first_ansatz_rows(self, capsys):

@@ -153,8 +153,8 @@ class TestHighPrecisionOracle:
 
         exact = polymap.band_window_block
 
-        def perturbed(p, ctx=None):
-            e = exact(p, ctx)
+        def perturbed(p, ctx=None, cos=None):
+            e = exact(p, ctx, cos)
             if ctx is None:
                 e = e.copy()
                 e[0, 1] += 1e-6
@@ -323,7 +323,7 @@ def scalar_refine(diag, off, guesses, ctx):
 def scalar_link_residuals_at(p, guesses, ctx):
     import tblim.polymap as polymap
 
-    diag, couplings = polymap._window_coefficients(p, ctx)
+    diag, couplings = polymap._window_rows(p, ctx)
     e_rows = polymap.band_window_block(p, ctx)
     e_cols = [[row[c] for row in e_rows] for c in range(len(diag))]
     w = [ctx.fdot(col, e_cols[0]) for col in e_cols]
@@ -380,7 +380,7 @@ class TestFixedPointOracle:
                                      + np.diag(couplings[: m - 1], -1))
 
         def block(ctx):
-            diag, couplings = polymap._window_coefficients(p, ctx)
+            diag, couplings = polymap._window_rows(p, ctx)
             return diag, couplings[: m - 1]
 
         self.assert_roots_match(block, guesses, link_residuals_hp(p).digits)
@@ -410,8 +410,8 @@ class TestFixedPointOracle:
 
         exact = polymap.band_window_block
 
-        def perturbed(p, ctx=None):
-            e = exact(p, ctx)
+        def perturbed(p, ctx=None, cos=None):
+            e = exact(p, ctx, cos)
             if ctx is None:
                 e = e.copy()
                 e[0, 1] += 1e-6

@@ -124,5 +124,15 @@ def test_bench_record_pairs_alternate(tmp_path, monkeypatch):
         {"median": 14.0, "q1": 13.5, "q3": 14.5, "runs": [13.0, 14.0, 15.0]}
     assert entry["change_better_in_pairs"] == \
         {"setup_s": 0, "ops_per_s": 3, "op_p50_s": 3, "peak_rss_mb": 0}
+    # base ops_per_s runs 11, 12, 13: median 12, quartiles 11.5 and 12.5
+    assert entry["verdict"]["ops_per_s"] == \
+        {"median_diff": 2.0, "base_iqr": 1.0, "gain_shown": True, "within_bound": True}
+    assert entry["verdict"]["setup_s"] == \
+        {"median_diff": 0.0, "base_iqr": 0.0, "gain_shown": False, "within_bound": True}
+    assert entry["verdict"]["op_p50_s"]["gain_shown"] and entry["verdict"]["op_p50_s"]["within_bound"]
+    # a median 30 % below the base's, against a bound of 25 %
+    assert bench_record.verdict({"better": "higher", "bound": 0.25},
+                                {"median": 10.0, "q1": 9.0, "q3": 11.0}, {"median": 7.0}, 0, 3) == \
+        {"median_diff": -3.0, "base_iqr": 2.0, "gain_shown": False, "within_bound": False}
     assert entry["traced"] == {"base": {"bethe.solve_bethe.self_s": 1},
                                "change": {"bethe.solve_bethe.self_s": 2}}

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import tblim.verify as verify
+import tblim.operators as operators
 from tblim.core_model import BasisKind, DenseOperator, ModelParams, Parity, fourier_matrix
 from tblim.errors import DomainError
-from tblim.operators import tb_operator
+from tblim.operators import operator_set, tb_operator
 from tblim.serialize import (
     _float_array,
     canonical_json,
@@ -18,7 +18,7 @@ from tblim.serialize import (
     pack_operator,
     unpack_operator,
 )
-from tblim.verify import basis_checks, run_suite
+from tblim.verify import basis_checks, run_suite, stored_checks
 
 
 class TestCanonicalJson:
@@ -144,6 +144,40 @@ class TestOperatorPayload:
         with pytest.raises(Exception):
             unpack_operator(payload)
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_null_entry_reads_as_nan_and_fails(self, as_array):
+        payload = json.loads(canonical_json(pack_operator(
+            tb_operator(ModelParams(6, 2, 3, Parity.MINUS)))))
+        payload["rows"][1][1][0] = None
+        if as_array:
+            payload["rows"] = np.array(payload["rows"], dtype=float)
+        assert np.isnan(unpack_operator(payload).entries[1, 1].real)
+        ops = operator_set(ModelParams(6, 2, 3, Parity.MINUS))
+        (check,) = stored_checks(ops, {"Q": payload})
+        assert check.name == "stored_Q" and not check.passed
+        assert json.loads(canonical_json({"residual": check.residual}))["residual"] is None
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["rows"][2].pop(),
+         "matrix payload entries are not [re, im] pairs (shape (5,))"),
+        (lambda d: [pair.append(0.0) for row in d["rows"] for pair in row],
+         "matrix payload entries are not [re, im] pairs (shape (5, 5, 3))"),
+        (lambda d: d.__setitem__("dim", 6),
+         "matrix payload claims dim 6 but has shape (5, 5)"),
+    ], ids=["ragged_row", "pair_width_3", "dim_disagrees"])
+    def test_malformed_payload_raises(self, as_array, edit, message):
+        payload = json.loads(canonical_json(pack_operator(
+            tb_operator(ModelParams(6, 2, 3, Parity.MINUS)))))
+        edit(payload)
+        if as_array:
+            # a ragged row can only be an object array
+            ragged = len({len(row) for row in payload["rows"]}) > 1
+            payload["rows"] = np.array(payload["rows"], dtype=object if ragged else float)
+        with pytest.raises(DomainError) as err:
+            unpack_operator(payload)
+        assert str(err.value) == message
+
 
 class TestCsv:
     def test_layout(self):
@@ -184,7 +218,8 @@ class TestVerifySuite:
             f.entries[1, 2] += 1e-12  # F is unitary: 1e-12 of its norm
             return f
 
-        monkeypatch.setattr(verify, "fourier_matrix", moved)
+        # run_suite takes F from operators.operator_set, the one builder
+        monkeypatch.setattr(operators, "fourier_matrix", moved)
         checks = {c.name: c for c in run_suite(ModelParams(n, n // 4, n // 2, parity))}
         assert not checks["fourier_unitarity"].passed
         assert not checks["fourier_vs_inner_products"].passed
