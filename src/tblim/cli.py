@@ -144,12 +144,15 @@ def _stored_payloads(path):
     gc.disable()        # the parsed document holds no cycles to collect
     try:
         with open(path) as fh:
-            return json.load(fh)["operators"]
+            payloads = json.load(fh)["operators"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise TblimError(f"cannot read operator file {path!r}: {exc}") from exc
     finally:
         if paused:
             gc.enable()
+    if not isinstance(payloads, dict):
+        raise TblimError(f"cannot read operator file {path!r}: 'operators' is not an object")
+    return payloads
 
 
 def cmd_verify(args):

@@ -299,9 +299,10 @@ class TestVerify:
         assert "FAIL stored_pi2" in out
         assert all(c["passed"] for name, c in checks.items() if name != "stored_pi2")
 
-    def test_unreadable_operator_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("text", ["{not json", '[1]', '{"operators": [1, 2]}'])
+    def test_unreadable_operator_file(self, capsys, tmp_path, text):
         bad = tmp_path / "nope.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         code, _, _ = run(capsys, "verify", "--n", "6", "--K", "2", "--L", "3",
                          "--parity", "minus", "--operators", str(bad))
         assert code == 2
