@@ -299,13 +299,20 @@ class TestVerify:
         assert "FAIL stored_pi2" in out
         assert all(c["passed"] for name, c in checks.items() if name != "stored_pi2")
 
-    @pytest.mark.parametrize("text", ["{not json", '[1]', '{"operators": [1, 2]}'])
-    def test_unreadable_operator_file(self, capsys, tmp_path, text):
+    def test_unreadable_operator_file(self, capsys, tmp_path):
         bad = tmp_path / "nope.json"
-        bad.write_text(text)
+        bad.write_text("{not json")
         code, _, _ = run(capsys, "verify", "--n", "6", "--K", "2", "--L", "3",
                          "--parity", "minus", "--operators", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("text", ['[1]', '{"operators": [1, 2]}'])
+    def test_operator_file_without_payload_object(self, capsys, tmp_path, text):
+        bad = tmp_path / "list.json"
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", "--n", "6", "--K", "2", "--L", "3",
+                           "--parity", "minus", "--operators", str(bad))
+        assert code == 2 and "error: cannot read operator file" in err
 
     @pytest.mark.parametrize("parity,note", [
         ("plus", "stored dim 7, expected 9"),
